@@ -15,6 +15,7 @@ subgroup lattice of small permutation groups.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -466,19 +467,37 @@ def _inverse(g):
 
 
 def _close(n, generators):
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                prod = _compose(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+    elements = {tuple(range(n))}
+    _grow_closure(elements, [], generators)
+    return elements
+
+
+def _grow_closure(elements, gens, extra):
+    """Grow ``elements`` = <gens> in place to <gens, extra>.
+
+    Each member of ``extra`` not yet inside is appended to ``gens``.  Only
+    the new elements are multiplied by every generator; the old ones need
+    the added generator alone, since they are already closed under the rest.
+    """
+    for g in extra:
+        if g in elements:
+            continue
+        gens.append(g)
+        frontier = []
+        for h in list(elements):
+            prod = _compose(h, g)
+            if prod not in elements:
+                elements.add(prod)
+                frontier.append(prod)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for s in gens:
+                    prod = _compose(h, s)
+                    if prod not in elements:
+                        elements.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
 
 
 def _reduce_generators(n, elements):
@@ -486,8 +505,7 @@ def _reduce_generators(n, elements):
     have = {tuple(range(n))}
     for g in sorted(elements):
         if g not in have:
-            gens.append(g)
-            have = _close(n, gens)
+            _grow_closure(have, gens, [g])
             if len(have) == len(elements):
                 break
     return gens
@@ -560,10 +578,18 @@ def is_fully_transitive(
 ) -> FullTransitivityReport:
     """Decide full transitivity by two methods that must agree.
 
-    (a) every pair of distinct-entry tuples with coordinatewise similar
-    points is realised by some homeomorphism, for every tuple length up
-    to the point count; (b) the order formula |Homeo| = prod |X_i|! over
-    the similarity blocks.  Disagreement raises InternalCheckError.
+    (a) The direct check: every pair of distinct-entry tuples with
+    coordinatewise similar points is realised by some homeomorphism, for
+    every tuple length up to the point count.  The injective k-tuples are
+    split into orbits under the group's generators by breadth-first
+    search, each orbit once; a tuple passes when its orbit holds every
+    tuple of its block signature, i.e. prod |B|!/(|B|-m_B)! of them, where
+    m_B counts its entries in block B.  Only the first tuple that fails
+    is walked against the product of its similarity pools, to name the
+    first unrealised image.  (b) The order formula |Homeo| = prod |X_i|!
+    over the similarity blocks.  (a) never looks at |Homeo| or at that
+    product, so the two stay independent; disagreement raises
+    InternalCheckError.
     """
     n = space.size
     if n > max_points:
@@ -576,42 +602,42 @@ def is_fully_transitive(
         expected *= factorial(len(block))
     order_ok = group.order == expected
 
-    block_of = {}
+    block_of = [0] * n
     for b, block in enumerate(part.blocks):
         for name in block:
             block_of[space.index(name)] = b
     block_indices = [tuple(space.index(p) for p in block) for block in part.blocks]
+    block_sizes = [len(block) for block in part.blocks]
 
+    # each injective tuple is reached once by the orbit search and mapped
+    # by every generator, and its signature and lookup cost about one
+    # more such map, of at most n entries
     tuple_count = sum(
         factorial(n) // factorial(n - k) for k in range(1, n + 1)
     )
-    work = tuple_count * (group.order + expected)
+    work = tuple_count * (len(group.generators) + 1) * n
     if work > max_work:
         raise BoundExceededError(
             f"direct full-transitivity check needs about {work} operations, "
             f"above the bound of {max_work}"
         )
 
-    elements = group.sorted_elements()
-    direct_ok, failure = True, None
+    failure = None
     for k in range(1, n + 1):
-        for xs in itertools.permutations(range(n), k):
-            realized = {tuple(g[i] for i in xs) for g in elements}
-            pools = [block_indices[block_of[i]] for i in xs]
-            for ys in itertools.product(*pools):
-                if len(set(ys)) != k:
-                    continue
-                if ys not in realized:
-                    direct_ok = False
-                    failure = (
-                        tuple(space.points[i] for i in xs),
-                        tuple(space.points[j] for j in ys),
-                    )
-                    break
-            if not direct_ok:
-                break
-        if not direct_ok:
-            break
+        xs = _first_unrealised_tuple(n, k, group.generators, block_of, block_sizes)
+        if xs is None:
+            continue
+        realized = _tuple_orbit(xs, group.generators)
+        pools = [block_indices[block_of[i]] for i in xs]
+        ys = next(
+            (ys for ys in itertools.product(*pools) if len(set(ys)) == k and ys not in realized),
+            None,
+        )
+        if ys is None:
+            raise InternalCheckError(f"orbit count of {xs} is short, yet every image is realised")
+        failure = (tuple(space.points[i] for i in xs), tuple(space.points[j] for j in ys))
+        break
+    direct_ok = failure is None
 
     if direct_ok != order_ok:
         raise InternalCheckError(
@@ -628,6 +654,59 @@ def is_fully_transitive(
         group=group,
         partition=part,
     )
+
+
+def _tuple_orbit(xs, generators) -> set[tuple[int, ...]]:
+    """Orbit of a tuple of point indices under the group the generators generate."""
+    orbit = {xs}
+    frontier = [xs]
+    while frontier:
+        ys = frontier.pop()
+        for g in generators:
+            zs = tuple(map(g.__getitem__, ys))
+            if zs not in orbit:
+                orbit.add(zs)
+                frontier.append(zs)
+    return orbit
+
+
+def _first_unrealised_tuple(n, k, generators, block_of, block_sizes):
+    """First injective k-tuple, in ``itertools.permutations`` order, whose
+    orbit lacks some tuple of its own block signature; None if none does.
+
+    Each orbit is searched once, from its first member; the verdicts of
+    its later members wait in ``pending`` until the walk reaches them.
+    """
+    alone = [block_sizes[b] == 1 for b in block_of]
+    pending = {}
+    for xs in itertools.permutations(range(n), k):
+        ok = pending.pop(xs, None)
+        if ok is None:
+            orbit = _tuple_orbit(xs, generators)
+            if len(orbit) == 1:
+                # the only tuple of its signature iff each point is alone in its block
+                ok = all(map(alone.__getitem__, xs))
+            else:
+                signature = {ys: tuple(map(block_of.__getitem__, ys)) for ys in orbit}
+                verdict = {
+                    sig: count == _arrangements(sig, block_sizes)
+                    for sig, count in Counter(signature.values()).items()
+                }
+                for ys, sig in signature.items():
+                    pending[ys] = verdict[sig]
+                ok = pending.pop(xs)
+        if not ok:
+            return xs
+    return None
+
+
+def _arrangements(signature, block_sizes) -> int:
+    """Injective tuples with this block signature: prod |B|!/(|B|-m_B)! over blocks B."""
+    count, used = 1, Counter()
+    for b in signature:
+        count *= block_sizes[b] - used[b]
+        used[b] += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -785,28 +864,38 @@ def normal_subgroups(
     A normal subgroup is a union of conjugacy classes and is generated by
     the classes it contains, so closing the class-generated subgroups
     under pairwise join enumerates every normal subgroup exactly once.
+    Each class-generated subgroup is built once, from the few class
+    members needed to generate it, and each join grows the elements of
+    the current subgroup by the class subgroup's generators only, so no
+    closure ever treats every element as a generator.  The returned groups
+    are built from their element sets, so their reported generators do not
+    depend on how the lattice was searched.
     """
     if group.order > max_order:
         raise BoundExceededError(
             f"group order {group.order} is above the bound of {max_order}"
         )
     n = len(group.ground)
-    identity = tuple(range(n))
-    class_subgroups = []
+    trivial = frozenset([tuple(range(n))])
+    class_subgroups = []  # (a class member, generators of the class-generated subgroup)
     for cls in conjugacy_classes(group):
-        gens = sorted(cls)
-        class_subgroups.append(frozenset(_close(n, gens)))
-    found = {frozenset([identity])}
-    frontier = [frozenset([identity])]
+        gens = []
+        _grow_closure(set(trivial), gens, sorted(cls))
+        class_subgroups.append((min(cls), gens))
+    found = {trivial: []}  # element set -> generators
+    frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            for cls_sub in class_subgroups:
-                if cls_sub <= sub:
+            for member, cls_gens in class_subgroups:
+                # sub is normal, so holding one member means holding the class
+                if member in sub:
                     continue
-                join = frozenset(_close(n, sorted(sub | cls_sub)))
+                elements, gens = set(sub), list(found[sub])
+                _grow_closure(elements, gens, cls_gens)
+                join = frozenset(elements)
                 if join not in found:
-                    found.add(join)
+                    found[join] = gens
                     nxt.append(join)
         frontier = nxt
     groups = [PermutationGroup(group.ground, elems) for elems in found]

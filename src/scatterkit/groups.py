@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import factorial
 
-from .classify import ALEPH0, Family, class_profile, classify
+from .classify import Family, class_profile, classify
 from .errors import DomainError
 from .finite import FiniteSpace, is_fully_transitive
 from .ordinal import ZERO, Ordinal
@@ -278,15 +278,12 @@ def umf_descriptor(source: Ordinal | int | FiniteSpace) -> UmfDescriptor:
         profile = class_profile(source)
         factors = tuple((f"rank {rank}", size) for rank, size in profile)
         citations = (CITE_THM15, CITE_COR23)
-    # metrisable iff every class is countable and only countably many are
-    # non-singletons; sizes here are naturals or aleph_0 and the factor list
-    # is finite, so both clauses are decidable directly
-    countable = all(size is ALEPH0 or isinstance(size, int) for _, size in factors)
-    non_singletons = sum(1 for _, size in factors if size is ALEPH0 or size > 1)
-    metrisable = countable and non_singletons < float("inf")
     return UmfDescriptor(
         factors=factors,
-        metrisable=metrisable,
+        # Remark 16: the flow is metrisable iff every class is countable and
+        # only countably many are non-singletons; every factor here has a
+        # natural or aleph_0 size and the factor list is finite
+        metrisable=True,
         amenable=True,
         roelcke_precompact=True,
         citations=citations + (CITE_REM16,),

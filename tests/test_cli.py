@@ -81,6 +81,34 @@ def test_fspace_commands(tmp_path):
     assert "normal_subgroups: 2" in out
 
 
+def test_fspace_normal_generators_are_pinned(tmp_path):
+    # the reported generators come from the element sets, whatever way the
+    # lattice search finds them
+    s4 = tmp_path / "s4.txt"
+    s4.write_text("p1: p1\np2: p2\np3: p3\np4: p4\n")
+    fan = tmp_path / "fan.txt"
+    fan.write_text("a: a\nb: b\nz: a b z\nw: a b w\n")
+    expected = {
+        s4: [
+            "normal.0=order 1: <id>",
+            "normal.1=order 4: <(p1 p2)(p3 p4), (p1 p3)(p2 p4)>",
+            "normal.2=order 12: <(p2 p3 p4), (p1 p2)(p3 p4)>",
+            "normal.3=order 24: <(p3 p4), (p2 p3), (p1 p2)>",
+        ],
+        fan: [
+            "normal.0=order 1: <id>",
+            "normal.1=order 2: <(z w)>",
+            "normal.2=order 2: <(a b)>",
+            "normal.3=order 2: <(a b)(z w)>",
+            "normal.4=order 4: <(z w), (a b)>",
+        ],
+    }
+    for path, lines in expected.items():
+        code, out = run_cli("--format", "structured", "fspace", str(path), "--normal")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("normal.")] == lines
+
+
 def test_fspace_validation_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a: a b\nb: b c\nc: c\n")

@@ -250,7 +250,7 @@ def test_full_transitivity_examples():
     assert is_fully_transitive(FiniteSpace((), {})).holds
     report = is_fully_transitive(two_fans())
     assert not report.holds
-    assert report.failure is not None
+    assert report.failure == (("a1",), ("b1",))
     assert report.group_order == 12
     assert report.expected_order == factorial(5)
 
@@ -260,6 +260,44 @@ def test_full_transitivity_methods_agree_exhaustively():
         for space in enumerate_t0_spaces(n):
             report = is_fully_transitive(space)
             assert report.direct_check == report.order_formula
+
+
+def _direct_check_reference(space, group, part):
+    """The realised-set definition, tuple by tuple: every distinct-entry
+    tuple of coordinatewise similar points must be the image of xs under
+    some group element.  Returns (holds, first failing pair)."""
+    n = space.size
+    block_of = {space.index(p): b for b, block in enumerate(part.blocks) for p in block}
+    block_indices = [tuple(space.index(p) for p in block) for block in part.blocks]
+    elements = group.sorted_elements()
+    for k in range(1, n + 1):
+        for xs in itertools.permutations(range(n), k):
+            realized = {tuple(g[i] for i in xs) for g in elements}
+            pools = [block_indices[block_of[i]] for i in xs]
+            for ys in itertools.product(*pools):
+                if len(set(ys)) == k and ys not in realized:
+                    return False, (
+                        tuple(space.points[i] for i in xs),
+                        tuple(space.points[j] for j in ys),
+                    )
+    return True, None
+
+
+def test_direct_check_matches_reference():
+    spaces = [sp for n in range(0, 5) for sp in enumerate_t0_spaces(n)]
+    spaces += [two_fans(), discrete_space(5), star_space(5, 1)]
+    for space in spaces:
+        report = is_fully_transitive(space)
+        holds, failure = _direct_check_reference(space, report.group, report.partition)
+        assert (report.direct_check, report.failure) == (holds, failure), space.to_text()
+
+
+def test_full_transitivity_work_bound():
+    with pytest.raises(BoundExceededError, match="operations"):
+        is_fully_transitive(discrete_space(5), max_work=1000)
+    # |G| = 8! is no obstacle: the estimate counts generators, not elements
+    report = is_fully_transitive(discrete_space(8), max_points=8)
+    assert report.holds and report.group_order == factorial(8)
 
 
 # --- swaps -------------------------------------------------------------------------
@@ -318,6 +356,12 @@ def test_normal_subgroups_s4_has_klein_four():
     group = homeo_group(discrete_space(4))
     subs = normal_subgroups(group)
     assert [s.order for s in subs] == [1, 4, 12, 24]
+
+
+def test_normal_subgroups_symmetric_5_and_6():
+    for n, orders in ((5, [1, 60, 120]), (6, [1, 360, 720])):
+        subs = normal_subgroups(homeo_group(discrete_space(n)))
+        assert [s.order for s in subs] == orders
 
 
 def test_normal_subgroups_2x2():
