@@ -91,4 +91,8 @@ def search(masks_a, masks_b, cand, limit=0):
         return True
 
     recurse(list(cand), 0)
+    # recurse reaches itself through its closure; unbinding it breaks that
+    # cycle, so the search state and a discarded result list are freed now
+    # rather than at the next full collection.
+    del recurse
     return results

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from ._kernels import isomorphisms
+from ._kernels import _bits, isomorphisms
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -183,13 +183,6 @@ class FiniteSpace:
 
     def __repr__(self):
         return f"FiniteSpace({list(self.points)!r})"
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
 
 
 @dataclass(frozen=True)
@@ -456,7 +449,7 @@ class PermutationGroup:
 
 def _compose(g, h):
     """Apply h first, then g."""
-    return tuple(g[h[i]] for i in range(len(g)))
+    return tuple(map(g.__getitem__, h))
 
 
 def _inverse(g):

@@ -141,24 +141,47 @@ def encode(g: Graph) -> FiniteSpace:
 
 
 def aut(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PermutationGroup:
-    """The automorphism group, by direct filtering of all vertex permutations.
+    """The automorphism group, by backtracking with adjacency pruning.
 
-    Deliberately brute force and independent of the homeomorphism search,
-    so the two sides of the encoding check do not share code.
+    Deliberately kept in this module and still independent of the
+    homeomorphism search, so the two sides of the encoding check do not
+    share code.
     """
     n = g.size
     if n > max_vertices:
         raise BoundExceededError(f"graph has {n} vertices, above the bound of {max_vertices}")
-    adj = g._adj
+    return PermutationGroup(g.vertices, _automorphisms(g._adj))
+
+
+def _automorphisms(adj):
+    """Every automorphism of the graph with adjacency masks ``adj``, as image
+    tuples in the lexicographic order of ``itertools.permutations``."""
     kept = []
-    for perm in itertools.permutations(range(n)):
-        if all(
-            ((adj[i] >> j) & 1) == ((adj[perm[i]] >> perm[j]) & 1)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
-            kept.append(perm)
-    return PermutationGroup(g.vertices, kept)
+    _extend(adj, [0] * len(adj), 0, 0, kept)
+    return kept
+
+
+def _extend(adj, perm, i, placed, kept):
+    """Give vertex i each unused image in increasing order, then recurse.
+
+    Target x is accepted for vertex i only if, for every j < i, i is
+    adjacent to j exactly when x is adjacent to perm[j]: with ``placed`` the
+    mask of images so far and ``wanted`` the images of i's earlier
+    neighbours, that is ``adj[x] & placed == wanted``.
+    """
+    n = len(adj)
+    if i == n:
+        kept.append(tuple(perm))
+        return
+    row = adj[i]
+    wanted = 0
+    for j in range(i):
+        if (row >> j) & 1:
+            wanted |= 1 << perm[j]
+    for x in range(n):
+        if not (placed >> x) & 1 and adj[x] & placed == wanted:
+            perm[i] = x
+            _extend(adj, perm, i + 1, placed | (1 << x), kept)
 
 
 @dataclass(frozen=True)
@@ -293,24 +316,29 @@ def enumerate_graphs(n: int, up_to_iso: bool = True):
     """All graphs on exactly n labelled vertices with at least one edge.
 
     With ``up_to_iso`` one representative per isomorphism class is kept
-    (canonical form: the minimum edge bitmask over all vertex orders).
+    (canonical form: the minimum relabelled edge bitmask over all vertex
+    orders).
     """
     if n > 7:
         raise BoundExceededError("graph enumeration is limited to 7 vertices")
     names = tuple(f"v{i + 1}" for i in range(n))
     pairs = list(itertools.combinations(range(n), 2))
+    if up_to_iso:
+        # For each vertex order, pair index -> bit of the relabelled pair.
+        pair_bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+        relabel = [
+            tuple(pair_bit[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+            for perm in itertools.permutations(range(n))
+        ]
     seen = set()
     for bits in range(1, 1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
+        present = [k for k in range(len(pairs)) if (bits >> k) & 1]
         if up_to_iso:
-            canon = min(
-                tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-                for perm in itertools.permutations(range(n))
-            )
+            canon = min(sum(map(table.__getitem__, present)) for table in relabel)
             if canon in seen:
                 continue
             seen.add(canon)
-        yield Graph(names, [(names[a], names[b]) for a, b in edges])
+        yield Graph(names, [(names[pairs[k][0]], names[pairs[k][1]]) for k in present])
 
 
 def random_graph(n: int, rng, edge_probability: float = 0.5) -> Graph:

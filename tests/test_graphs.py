@@ -4,10 +4,11 @@ import random
 import pytest
 
 from scatterkit._kernels import isomorphisms
-from scatterkit.errors import ParseError, ValidationError
-from scatterkit.finite import cb_data, homeo_group, separation_report
+from scatterkit.errors import BoundExceededError, ParseError, ValidationError
+from scatterkit.finite import PermutationGroup, cb_data, homeo_group, separation_report
 from scatterkit.graphs import (
     Graph,
+    _automorphisms,
     aut,
     edge_name,
     encode,
@@ -30,6 +31,14 @@ def cycle(n):
 def complete(n):
     names = [str(i) for i in range(n)]
     return Graph(names, list(itertools.combinations(names, 2)))
+
+
+def petersen():
+    names = [f"v{i}" for i in range(10)]
+    outer = [(names[i], names[(i + 1) % 5]) for i in range(5)]
+    inner = [(names[5 + i], names[5 + (i + 2) % 5]) for i in range(5)]
+    spokes = [(names[i], names[i + 5]) for i in range(5)]
+    return Graph(names, outer + inner + spokes)
 
 
 # --- construction and parsing -------------------------------------------------
@@ -100,6 +109,43 @@ def test_aut_examples():
     assert aut(cycle(5)).order == 10
 
 
+def _aut_reference(g):
+    """Automorphisms by filtering all n! vertex permutations, in the order
+    ``itertools.permutations`` yields them."""
+    n = g.size
+    adj = g._adj
+    pairs = [(i, j, (adj[i] >> j) & 1) for i in range(n) for j in range(i + 1, n)]
+    kept = []
+    for perm in itertools.permutations(range(n)):
+        for i, j, bit in pairs:
+            if (adj[perm[i]] >> perm[j]) & 1 != bit:
+                break
+        else:
+            kept.append(perm)
+    return kept
+
+
+def test_aut_matches_reference():
+    rng = random.Random(24)
+    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, up_to_iso=False)]
+    graphs += [random_graph(rng.randint(6, 8), rng) for _ in range(20)]
+    graphs.append(petersen())
+    for g in graphs:
+        kept = _aut_reference(g)
+        assert _automorphisms(g._adj) == kept, g
+        group = aut(g, max_vertices=10)
+        reference = PermutationGroup(g.vertices, kept)
+        assert group.elements == reference.elements, g
+        assert group.generators == reference.generators, g
+
+
+def test_aut_vertex_bound():
+    g = Graph([f"v{i}" for i in range(9)], [("v0", "v1")])
+    with pytest.raises(BoundExceededError, match="^graph has 9 vertices, above the bound of 8$"):
+        aut(g)
+    assert aut(g, max_vertices=9).order == 2 * 5040
+
+
 # --- the encoding theorem -----------------------------------------------------------
 
 def test_verify_prop24_examples():
@@ -110,12 +156,7 @@ def test_verify_prop24_examples():
 
 
 def test_verify_prop24_petersen():
-    names = [f"v{i}" for i in range(10)]
-    outer = [(names[i], names[(i + 1) % 5]) for i in range(5)]
-    inner = [(names[5 + i], names[5 + (i + 2) % 5]) for i in range(5)]
-    spokes = [(names[i], names[i + 5]) for i in range(5)]
-    petersen = Graph(names, outer + inner + spokes)
-    report = verify_prop24(petersen, max_vertices=10)
+    report = verify_prop24(petersen(), max_vertices=10)
     assert report.ok
     assert report.homeo_order == 120
 
@@ -146,6 +187,32 @@ def test_enumerate_graphs_counts():
     assert [len(list(enumerate_graphs(n))) for n in (2, 3, 4, 5)] == [1, 3, 10, 33]
     labelled = len(list(enumerate_graphs(3, up_to_iso=False)))
     assert labelled == 7  # 2^3 - 1 edge subsets
+
+
+def _enumerate_reference(n):
+    """Representatives by the minimum sorted relabelled edge list."""
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = set()
+    for bits in range(1, 1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
+        canon = min(
+            tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+            for perm in itertools.permutations(range(n))
+        )
+        if canon not in seen:
+            seen.add(canon)
+            yield edges
+
+
+def test_enumerate_graphs_matches_reference():
+    for n in range(2, 6):
+        names = tuple(f"v{i + 1}" for i in range(n))
+        got = [(g.vertices, g.sorted_edges()) for g in enumerate_graphs(n)]
+        want = [
+            (names, [(names[a], names[b]) for a, b in edges])
+            for edges in _enumerate_reference(n)
+        ]
+        assert got == want
 
 
 def test_homeo_matches_aut_elementwise_on_path():
