@@ -1,4 +1,4 @@
-"""Isomorphism-search kernel with a compiled core and a pure fallback.
+"""Isomorphism-search kernel: colour refinement plus a backtracking search.
 
 The search problem: given two families of subsets ``masks_a`` and
 ``masks_b`` of {0..n-1} (one subset per point, encoded as bitmasks), find
@@ -6,30 +6,20 @@ the bijections p with p(masks_a[i]) == masks_b[p(i)] for every i.  With
 minimal-open-set masks these are exactly the homeomorphisms of a finite
 Alexandrov space; with adjacency masks they are graph isomorphisms.
 
-The compiled module ``_native`` is used when it was built, the instance
-fits in 64-bit masks and SCATTERKIT_PURE is unset; otherwise the
-identical pure-Python search runs.
+The search itself is ``pure.search``, on arbitrary-size Python ints, so
+there is no point ceiling.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-
 from . import pure
-
-_native = None
-if not os.environ.get("SCATTERKIT_PURE"):
-    try:
-        _native = importlib.import_module(__name__ + "._native")
-    except ImportError:
-        _native = None
 
 __all__ = ["isomorphisms", "backend_name", "refine_colors"]
 
 
 def backend_name() -> str:
-    return "pure" if _native is None else "native"
+    # perfbench records this name and traces pure.search by its module path; both stay.
+    return "pure"
 
 
 def _signature_colors(masks, member_of, colors):
@@ -112,6 +102,4 @@ def isomorphisms(masks_a, masks_b, colors_a=None, colors_b=None, pins=(), limit=
         cand[i] &= 1 << j
         if not cand[i]:
             return []
-    if _native is not None and na <= 64:
-        return _native.search(masks_a, masks_b, cand, limit)
     return pure.search(masks_a, masks_b, cand, limit)

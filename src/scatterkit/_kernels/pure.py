@@ -1,8 +1,7 @@
 """Pure-Python backtracking search for mask-equivariant bijections.
 
-Reference implementation of the kernel contract; the compiled module in
-_native.pyx mirrors this algorithm on C arrays.  Masks are arbitrary-size
-Python ints, so there is no 64-point ceiling here.
+This is the one implementation of the kernel contract.  Masks are
+arbitrary-size Python ints, so there is no point ceiling.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .classify import (
     homeomorphic,
     point_rank,
 )
-from ._kernels import backend_name
 from .errors import ParseError, ScatterkitError
 from .ordinal import parse
 
@@ -323,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
     p.add_argument("--max-points", type=int, default=None)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("backend", help="which search kernel is active")
-    p.set_defaults(func=lambda args, out: (out.put("kernel", backend_name()), 0)[1])
 
     return parser
 

@@ -779,11 +779,9 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
             "the clopen pieces around x and y have different sizes",
             piece_x, piece_y,
         )
-    local_x = {g: l for l, g in enumerate(comp_x)}
-    local_y = {g: l for l, g in enumerate(comp_y)}
-    sub_a = [_restrict_mask(sub_masks[g], local_x) for g in comp_x]
-    sub_b = [_restrict_mask(sub_masks[g], local_y) for g in comp_y]
-    isos = isomorphisms(sub_a, sub_b, pins=[(local_x[ix], local_y[iy])])
+    sub_a = _submasks(space, comp_x)
+    sub_b = _submasks(space, comp_y)
+    isos = isomorphisms(sub_a, sub_b, pins=[(comp_x.index(ix), comp_y.index(iy))])
     if not isos:
         return SwapResult(
             False, None,
@@ -808,13 +806,6 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
         "every candidate swap breaks a minimal open set that meets the fixed set",
         piece_x, piece_y,
     )
-
-
-def _restrict_mask(mask, local):
-    out = 0
-    for g in _bits(mask):
-        out |= 1 << local[g]
-    return out
 
 
 def _is_homeo(space, perm) -> bool:

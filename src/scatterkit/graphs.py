@@ -319,8 +319,8 @@ def enumerate_graphs(n: int, up_to_iso: bool = True):
     (canonical form: the minimum relabelled edge bitmask over all vertex
     orders).
     """
-    if n > 7:
-        raise BoundExceededError("graph enumeration is limited to 7 vertices")
+    if n > 6:
+        raise BoundExceededError("graph enumeration is limited to 6 vertices")
     names = tuple(f"v{i + 1}" for i in range(n))
     pairs = list(itertools.combinations(range(n), 2))
     if up_to_iso:

@@ -189,6 +189,12 @@ def test_enumerate_graphs_counts():
     assert labelled == 7  # 2^3 - 1 edge subsets
 
 
+def test_enumerate_graphs_bound():
+    # n=7 would relabel 2^21 graphs by 5040 vertex orders each
+    with pytest.raises(BoundExceededError, match="limited to 6 vertices"):
+        next(enumerate_graphs(7))
+
+
 def _enumerate_reference(n):
     """Representatives by the minimum sorted relabelled edge list."""
     pairs = list(itertools.combinations(range(n), 2))
