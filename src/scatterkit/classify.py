@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import OutOfSpaceError, UnrepresentableProfileError
-from .ordinal import ONE, ZERO, Ordinal, add, divide_by_power, omega_power
+from .ordinal import ONE, ZERO, Ordinal, add, as_ordinal, divide_by_power, omega_power
 
 __all__ = [
     "Family",
@@ -106,7 +106,7 @@ class SpaceClass:
 
 def classify(gamma: Ordinal | int) -> SpaceClass:
     """The homeomorphism class of the ordinal space gamma = [0, gamma)."""
-    gamma = _as_ordinal(gamma)
+    gamma = as_ordinal(gamma)
     if gamma.is_finite:
         return SpaceClass(Family.FINITE, int(gamma))
     alpha, k = gamma.terms[0]
@@ -128,13 +128,13 @@ def homeomorphic(g1: Ordinal | int, g2: Ordinal | int) -> bool:
 
 def compactify(gamma: Ordinal | int) -> Ordinal:
     """gamma + 1 for a limit, gamma itself when already compact."""
-    gamma = _as_ordinal(gamma)
+    gamma = as_ordinal(gamma)
     return add(gamma, ONE) if gamma.is_limit else gamma
 
 
 def point_rank(x: Ordinal | int, gamma: Ordinal | int) -> Ordinal:
     """Cantor-Bendixson rank of the point x in the space [0, gamma)."""
-    x, gamma = _as_ordinal(x), _as_ordinal(gamma)
+    x, gamma = as_ordinal(x), as_ordinal(gamma)
     if not x < gamma:
         raise OutOfSpaceError(f"{x} is not a point of the space [0, {gamma})")
     if x.is_zero:
@@ -149,7 +149,7 @@ def derived_order_type(gamma: Ordinal | int, beta: Ordinal | int) -> Ordinal:
     nonzero multiples of omega^beta, an interval [1, q] (when r > 0) or
     [1, q) (when r = 0) in the multiplier.
     """
-    gamma, beta = _as_ordinal(gamma), _as_ordinal(beta)
+    gamma, beta = as_ordinal(gamma), as_ordinal(beta)
     if beta.is_zero:
         return gamma
     q, r = divide_by_power(gamma, beta)
@@ -169,7 +169,7 @@ def class_profile(gamma: Ordinal | int) -> list[tuple[Ordinal, "int | _Aleph0"]]
     (gamma < omega^omega); beyond that the list would be infinite and an
     UnrepresentableProfileError is raised.
     """
-    gamma = _as_ordinal(gamma)
+    gamma = as_ordinal(gamma)
     if gamma.is_zero:
         return []
     if not gamma.leading_exponent.is_finite:
@@ -190,9 +190,3 @@ def class_profile(gamma: Ordinal | int) -> list[tuple[Ordinal, "int | _Aleph0"]]
         current = nxt
         level += 1
     return profile
-
-
-def _as_ordinal(value) -> Ordinal:
-    if isinstance(value, Ordinal):
-        return value
-    return Ordinal.from_int(value)

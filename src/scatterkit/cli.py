@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -251,7 +252,13 @@ def cmd_verify(args, out: _Emitter) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls.
+
+    ``parse_args`` keeps no state in the parser (each call fills a new
+    namespace), so one instance serves every ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="scatterkit",
         description="Scattered spaces: ordinal classification, Cantor-Bendixson data, "

@@ -6,6 +6,16 @@ relabelling.  For finite X the action is simply transitive, and for a
 fully transitive finite space the homeomorphism group acts simply
 transitively on the product of the LO spaces of its similarity classes,
 matching the flow of the (compact, because finite) group.
+
+Simple transitivity is decided by the orbit map g -> g.x0 at one base
+point x0, over all elements of the group: the action is simply transitive
+iff |G| = |X|, the |G| images are pairwise distinct and every image lies
+in X.  Distinct images make the stabiliser of x0 trivial; stabilisers
+along an orbit are conjugate (Stab(g.x0) = g Stab(x0) g^-1), so with a
+single orbit every stabiliser is trivial.  This costs O(|G| k) for points
+of size k instead of tabulating all |G| |X| (source, target) pairs.
+Minimality of the product flow is checked apart from it, by a
+breadth-first orbit under the group's generators.
 """
 
 from __future__ import annotations
@@ -48,26 +58,32 @@ def act(g, order):
     return tuple(g[x - 1] for x in order)
 
 
+def _acts_simply_transitively(elements, points, move) -> bool:
+    """Does the group with these elements act simply transitively on points?
+
+    ``move(g, x)`` is the action.  With x0 = points[0], the orbit map
+    g -> move(g, x0) is a bijection onto the points exactly when |G| = |X|,
+    the images are pairwise distinct and every image is a point; a free
+    orbit of x0 that is all of X gives trivial stabilisers everywhere,
+    since stabilisers along an orbit are conjugate.
+    """
+    if len(elements) != len(points):
+        return False
+    base = points[0]
+    images = {move(g, base) for g in elements}
+    # |images| = |X| = |G|: the orbit map is injective
+    return len(images) == len(points) and images.issubset(points)
+
+
 def check_simply_transitive(n: int, max_n: int = DEFAULT_MAX_ENUMERATION) -> bool:
     """Exactly one permutation carries any linear order to any other.
 
-    Counted exhaustively: every (permutation, order) pair contributes one
-    (source, target) incidence, and simple transitivity means the
-    incidence table is everywhere exactly one.
+    Decided by the orbit map of the first order over all n! permutations
+    (see the module docstring): n! distinct images, each a linear order.
     """
     orders = lo_space(n, max_n=max_n)
     perms = list(itertools.permutations(range(1, n + 1)))
-    counts: dict[tuple[int, int], int] = {}
-    index = {o: i for i, o in enumerate(orders)}
-    for g in perms:
-        for i, order in enumerate(orders):
-            target = tuple(g[x - 1] for x in order)
-            key = (i, index[target])
-            counts[key] = counts.get(key, 0) + 1
-    total = len(orders)
-    if len(counts) != total * total:
-        return False
-    return all(c == 1 for c in counts.values())
+    return _acts_simply_transitively(perms, orders, act)
 
 
 @dataclass(frozen=True)
@@ -89,7 +105,12 @@ def product_flow_check(
 ) -> FlowReport:
     """Let the homeomorphism group act factor-wise on the product of the
     LO spaces of the similarity classes and verify the action is simply
-    transitive and every orbit is the whole product."""
+    transitive and every orbit is the whole product.
+
+    Simple transitivity uses the orbit map of one point over all |G|
+    elements (module docstring); minimality is a separate breadth-first
+    orbit of the same point under the generators only.
+    """
     report = is_fully_transitive(space)
     if not report.holds:
         raise DomainError(
@@ -106,23 +127,19 @@ def product_flow_check(
 
     block_orders = [list(itertools.permutations(block)) for block in blocks]
     flow = list(itertools.product(*block_orders))
-    index = {pt: i for i, pt in enumerate(flow)}
-    counts: dict[tuple[int, int], int] = {}
-    elements = group.sorted_elements()
-    for perm in elements:
-        mapping = group.as_mapping(perm)
-        for i, pt in enumerate(flow):
-            target = tuple(tuple(mapping[x] for x in order) for order in pt)
-            key = (i, index[target])
-            counts[key] = counts.get(key, 0) + 1
-    simply = len(counts) == len(flow) ** 2 and all(c == 1 for c in counts.values())
+
+    def move(mapping, pt):
+        return tuple(act(mapping, order) for order in pt)
+
+    mappings = [group.as_mapping(perm) for perm in group.elements]
+    simply = _acts_simply_transitively(mappings, flow, move)
     orbit = {flow[0]}
     frontier = [flow[0]]
+    generators = [group.as_mapping(perm) for perm in group.generators]
     while frontier:
         pt = frontier.pop()
-        for perm in group.generators:
-            mapping = group.as_mapping(perm)
-            target = tuple(tuple(mapping[x] for x in order) for order in pt)
+        for mapping in generators:
+            target = move(mapping, pt)
             if target not in orbit:
                 orbit.add(target)
                 frontier.append(target)

@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 __all__ = [
     "Ordinal",
@@ -33,6 +33,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "OMEGA",
+    "as_ordinal",
     "omega_power",
     "parse",
     "format_ordinal",
@@ -127,31 +128,33 @@ class Ordinal:
         return bool(self.terms)
 
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Ordinal):
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         # CNF term lists compare lexicographically by (exponent, coefficient),
         # a proper prefix being smaller; this is exactly the ordinal order.
         return self.terms < other.terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = Ordinal.from_int(other)
         if not isinstance(other, Ordinal):
-            return NotImplemented
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(self.terms)
 
     def __add__(self, other) -> Ordinal:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Ordinal):
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return add(self, other)
 
     def __radd__(self, other) -> Ordinal:
-        other = _coerce(other)
+        other = _operand(other)
         if other is NotImplemented:
             return NotImplemented
         return add(other, self)
@@ -168,17 +171,34 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((ONE, 1),))
 
 
-def _coerce(value) -> Ordinal:
+def as_ordinal(value) -> Ordinal:
+    """An Ordinal as is, a non-negative int as the finite ordinal.
+
+    Anything else (str, float, bool, a negative int) raises DomainError;
+    every library entry point that takes ``Ordinal | int`` goes through
+    here.
+    """
     if isinstance(value, Ordinal):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
+        if value < 0:
+            raise DomainError(f"ordinals are non-negative, got {value}")
         return Ordinal.from_int(value)
-    return NotImplemented
+    raise DomainError(f"expected an Ordinal or a non-negative int, got {value!r}")
+
+
+def _operand(value):
+    """as_ordinal for the operator methods: NotImplemented instead of an
+    error, so that Python can try the other operand."""
+    try:
+        return as_ordinal(value)
+    except DomainError:
+        return NotImplemented
 
 
 def omega_power(exponent: Ordinal | int, coefficient: int = 1) -> Ordinal:
     """omega^exponent * coefficient (0 when the coefficient is 0)."""
-    exponent = _coerce(exponent)
+    exponent = as_ordinal(exponent)
     if coefficient == 0:
         return ZERO
     return Ordinal(((exponent, coefficient),))
@@ -186,7 +206,7 @@ def omega_power(exponent: Ordinal | int, coefficient: int = 1) -> Ordinal:
 
 def compare(a: Ordinal | int, b: Ordinal | int) -> int:
     """-1, 0 or 1 as a is below, equal to or above b in the ordinal order."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if a == b:
         return 0
     return -1 if a < b else 1
@@ -194,7 +214,7 @@ def compare(a: Ordinal | int, b: Ordinal | int) -> int:
 
 def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     """Ordinal sum: trailing terms of a below b's leading power are absorbed."""
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_ordinal(a), as_ordinal(b)
     if not b.terms:
         return a
     if not a.terms:
@@ -211,7 +231,7 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
 
 def mul_power(beta: Ordinal | int, q: Ordinal | int) -> Ordinal:
     """omega^beta * q, computed termwise on q's CNF."""
-    beta, q = _coerce(beta), _coerce(q)
+    beta, q = as_ordinal(beta), as_ordinal(q)
     terms = []
     for exp, coeff in q.terms:
         terms.append((beta if exp.is_zero else add(beta, exp), coeff))
@@ -239,7 +259,7 @@ def _left_difference(beta: Ordinal, e: Ordinal) -> Ordinal:
 
 def divide_by_power(gamma: Ordinal | int, beta: Ordinal | int) -> tuple[Ordinal, Ordinal]:
     """The unique (q, r) with gamma = omega^beta * q + r and r < omega^beta."""
-    gamma, beta = _coerce(gamma), _coerce(beta)
+    gamma, beta = as_ordinal(gamma), as_ordinal(beta)
     if beta.is_zero:
         return gamma, ZERO
     high = []
@@ -253,7 +273,7 @@ def divide_by_power(gamma: Ordinal | int, beta: Ordinal | int) -> tuple[Ordinal,
 
 
 def kind(o: Ordinal | int) -> Kind:
-    return _coerce(o).kind()
+    return as_ordinal(o).kind()
 
 
 def format_ordinal(o: Ordinal) -> str:

@@ -16,7 +16,7 @@ from scatterkit.classify import (
     homeomorphic,
     point_rank,
 )
-from scatterkit.errors import OutOfSpaceError, UnrepresentableProfileError
+from scatterkit.errors import DomainError, OutOfSpaceError, UnrepresentableProfileError
 from scatterkit.ordinal import ONE, ZERO, Ordinal, add, omega_power, parse
 from scatterkit.verify import POOL, random_ordinal
 
@@ -191,3 +191,21 @@ def test_classify_idempotence_randomised():
         can = canonical(gamma)
         assert canonical(can) == can
         assert classify(can) == classify(gamma)
+
+
+def test_entry_points_refuse_non_ordinals():
+    assert classify(3) == classify(parse("3"))
+    for bad in ("w", 1.5, True, -1):
+        for call in (
+            lambda: classify(bad),
+            lambda: canonical(bad),
+            lambda: homeomorphic(bad, 1),
+            lambda: compactify(bad),
+            lambda: point_rank(bad, 3),
+            lambda: point_rank(0, bad),
+            lambda: derived_order_type(bad, 0),
+            lambda: derived_order_type(3, bad),
+            lambda: class_profile(bad),
+        ):
+            with pytest.raises(DomainError):
+                call()

@@ -3,7 +3,9 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
-from scatterkit.cli import main
+import pytest
+
+from scatterkit.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -145,6 +147,25 @@ def test_flows_commands(tmp_path):
     assert code == 0 and "minimal: true" in out
     code, _ = run_cli("flows")
     assert code == 2
+
+
+def test_shared_parser_keeps_no_state(tmp_path):
+    path = tmp_path / "space.txt"
+    path.write_text("a: a\nb: b\nc: a b c\n")
+    calls = [
+        ("--format", "structured", "flows", "--n", "4"),
+        ("fspace", str(path), "--group"),
+    ]
+    for argv in calls:
+        build_parser.cache_clear()
+        first = run_cli(*argv)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as rejected:
+            run_cli("flows", "--n", "four")
+        assert rejected.value.code == 2
+        assert run_cli("flows")[0] == 2  # a ParseError from the command
+        assert run_cli(*argv) == first
+    assert build_parser() is build_parser()
 
 
 def test_verify_suite():

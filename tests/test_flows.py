@@ -4,10 +4,17 @@ from math import factorial
 
 import pytest
 
+from scatterkit.cli import main
 from scatterkit.errors import BoundExceededError, DomainError
-from scatterkit.finite import FiniteSpace
-from scatterkit.flows import act, check_simply_transitive, lo_space, product_flow_check
-from scatterkit.verify import chain_space, discrete_space, double_fan_space
+from scatterkit.finite import FiniteSpace, enumerate_t0_spaces, is_fully_transitive
+from scatterkit.flows import (
+    _acts_simply_transitively,
+    act,
+    check_simply_transitive,
+    lo_space,
+    product_flow_check,
+)
+from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
 
 
 def test_lo_space_sizes():
@@ -55,6 +62,89 @@ def test_act_is_a_left_action_sampled_n5():
 def test_simply_transitive():
     for n in range(6):
         assert check_simply_transitive(n)
+
+
+def _incidence_reference(elements, points, move):
+    """The (source, target) incidence table: simply transitive iff every
+    pair of points is joined by exactly one element."""
+    index = {x: i for i, x in enumerate(points)}
+    counts = {}
+    for g in elements:
+        for i, x in enumerate(points):
+            target = move(g, x)
+            if target not in index:
+                return False
+            key = (i, index[target])
+            counts[key] = counts.get(key, 0) + 1
+    return len(counts) == len(points) ** 2 and all(c == 1 for c in counts.values())
+
+
+def _move_product(mapping, pt):
+    return tuple(tuple(mapping[x] for x in order) for order in pt)
+
+
+def test_simply_transitive_matches_reference():
+    for n in range(6):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert check_simply_transitive(n) == _incidence_reference(perms, lo_space(n), act)
+
+
+def test_product_flow_matches_reference():
+    spaces = [sp for n in range(0, 5) for sp in enumerate_t0_spaces(n)]
+    spaces += [discrete_space(5), star_space(4, 2)]
+    checked = 0
+    for space in spaces:
+        transitivity = is_fully_transitive(space)
+        if not transitivity.holds:
+            continue
+        group = transitivity.group
+        block_orders = [list(itertools.permutations(b)) for b in transitivity.partition.blocks]
+        flow = list(itertools.product(*block_orders))
+        mappings = [group.as_mapping(g) for g in group.sorted_elements()]
+        expected = _incidence_reference(mappings, flow, _move_product)
+        report = product_flow_check(space)
+        assert report.simply_transitive == expected, space.to_text()
+        assert report.ok, space.to_text()
+        checked += 1
+    assert checked == 95  # 93 T0 spaces on <= 4 points, discrete 5, star(4, 2)
+
+
+def _move_point(g, x):
+    return g[x - 1]
+
+
+def _move_copy(g, pt):
+    copy, x = pt
+    return copy, g[x - 1]
+
+
+def test_orbit_map_conditions():
+    # each negative case breaks exactly one of the three conditions
+    s3 = list(itertools.permutations((1, 2, 3)))
+    cases = [
+        # |G| = 6 but |X| = 3; the 3 images are all of X
+        (s3, [1, 2, 3], _move_point),
+        # |G| = |X| = 6 but the orbit of (0, 1) has only 3 images
+        (s3, [(c, x) for c in (0, 1) for x in (1, 2, 3)], _move_copy),
+        # |G| = |X| = 2, distinct images, but (1 2) sends (1, 2, 3) to (2, 1, 3)
+        ([(1, 2, 3), (2, 1, 3)], [(1, 2, 3), (1, 3, 2)], act),
+    ]
+    for elements, points, move in cases:
+        assert not _acts_simply_transitively(elements, points, move)
+        assert not _incidence_reference(elements, points, move)
+    # S3 on its own six orders is the positive case
+    assert _acts_simply_transitively(s3, lo_space(3), act)
+
+
+def test_larger_sizes_answered_within_bound(capsys):
+    assert check_simply_transitive(7)
+    assert check_simply_transitive(8)
+    with pytest.raises(BoundExceededError):
+        check_simply_transitive(9)
+    with pytest.raises(BoundExceededError):
+        lo_space(9)
+    assert main(["flows", "--n", "9"]) == 1
+    assert "limited to 8 elements" in capsys.readouterr().err
 
 
 def test_stabilizers_are_trivial():

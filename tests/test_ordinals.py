@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit.errors import ParseError
+from scatterkit.errors import DomainError, ParseError
 from scatterkit.ordinal import (
     OMEGA,
     ONE,
@@ -10,6 +10,7 @@ from scatterkit.ordinal import (
     Kind,
     Ordinal,
     add,
+    as_ordinal,
     compare,
     divide_by_power,
     format_ordinal,
@@ -252,6 +253,43 @@ def test_kind_examples():
     assert kind(ZERO) is Kind.ZERO
     assert kind(o("w^2*3 + 1")) is Kind.SUCCESSOR
     assert kind(o("w^(w) + w")) is Kind.LIMIT
+
+
+NOT_ORDINALS = ["w", "", 1.5, 2.0, True, False, -1, None]
+
+
+def test_entry_points_refuse_non_ordinals():
+    assert as_ordinal(3) == o("3") and as_ordinal(w) is w
+    for bad in NOT_ORDINALS:
+        for call in (
+            lambda: as_ordinal(bad),
+            lambda: add(bad, 1),
+            lambda: add(1, bad),
+            lambda: compare(bad, 1),
+            lambda: compare(w, bad),
+            lambda: mul_power(bad, 1),
+            lambda: divide_by_power(w, bad),
+            lambda: omega_power(bad),
+            lambda: kind(bad),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+
+def test_operators_return_not_implemented_on_non_ordinals():
+    for bad in NOT_ORDINALS:
+        assert w.__lt__(bad) is NotImplemented
+        assert w.__eq__(bad) is NotImplemented
+        assert w.__add__(bad) is NotImplemented
+        assert w.__radd__(bad) is NotImplemented
+        assert w != bad
+    with pytest.raises(TypeError):
+        w + "x"
+    with pytest.raises(TypeError):
+        w < 1.5
+    with pytest.raises(TypeError):
+        -1 + w
+    assert w + 2 == add(w, 2) and 2 + w == w and ONE < 2
 
 
 def test_hash_and_repr():
