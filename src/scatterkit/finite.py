@@ -15,11 +15,10 @@ subgroup lattice of small permutation groups.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from ._kernels import _bits, isomorphisms
+from ._kernels import _bits, isomorphisms, pure
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -58,7 +57,6 @@ __all__ = [
 DEFAULT_MAX_POINTS = 12
 DEFAULT_MAX_GROUP_ORDER = 40320
 DEFAULT_HOMEO_ELEMENT_CAP = 1_000_000
-DEFAULT_TRANSITIVITY_WORK = 50_000_000
 
 
 class FiniteSpace:
@@ -566,22 +564,36 @@ class FullTransitivityReport:
 def is_fully_transitive(
     space: FiniteSpace,
     max_points: int = DEFAULT_MAX_POINTS,
-    max_work: int = DEFAULT_TRANSITIVITY_WORK,
     group: PermutationGroup | None = None,
 ) -> FullTransitivityReport:
     """Decide full transitivity by two methods that must agree.
 
     (a) The direct check: every pair of distinct-entry tuples with
     coordinatewise similar points is realised by some homeomorphism, for
-    every tuple length up to the point count.  The injective k-tuples are
-    split into orbits under the group's generators by breadth-first
-    search, each orbit once; a tuple passes when its orbit holds every
-    tuple of its block signature, i.e. prod |B|!/(|B|-m_B)! of them, where
-    m_B counts its entries in block B.  Only the first tuple that fails
-    is walked against the product of its similarity pools, to name the
-    first unrealised image.  (b) The order formula |Homeo| = prod |X_i|!
-    over the similarity blocks.  (a) never looks at |Homeo| or at that
-    product, so the two stay independent; disagreement raises
+    every tuple length up to the point count.  It rests on induction on
+    the length k: if G is transitive on the injective (k-1)-tuples of
+    each block signature, it is transitive on the k-tuples iff, for every
+    (k-1)-point prefix P, the pointwise stabiliser G_(P) is transitive on
+    B minus P for each similarity block B.  Under the (k-1) case two
+    prefixes with the same count vector (m_B)_B are conjugate, and G_(P)
+    depends only on the set P, so one prefix per vector is enough: the
+    first m_B points of each block with more than one point.  The checks
+    run by increasing sum of m_B, so the first that fails lies at the
+    first failing level.  Bounding m_B < |B| and skipping singleton
+    blocks loses nothing there: every homeomorphism fixes a singleton
+    block's point and, once |B| - 1 points of B are fixed, the last one,
+    so a failing prefix holding such a point or a whole block would have
+    failed one level lower.  Transitivity of G_(P) on B minus P is |B minus P| - 1 kernel
+    searches for one homeomorphism each, pinning P pointwise and the
+    first point of B minus P to each other one (the individualisation step
+    of McKay & Piperno, Practical graph isomorphism II, 2014).  The
+    search candidates of a point are its similarity block, since a
+    homeomorphism keeps every point in its block.  The ``failure`` pair is
+    the first tuple, in ``itertools.permutations`` order, that some
+    coordinatewise similar tuple is not an image of, with the first such
+    image in ``itertools.product`` order.  (b) The order
+    formula |Homeo| = prod |X_i|! over the similarity blocks.  (a) never
+    reads the group, so the two stay independent; disagreement raises
     InternalCheckError.
     """
     n = space.size
@@ -595,41 +607,7 @@ def is_fully_transitive(
         expected *= factorial(len(block))
     order_ok = group.order == expected
 
-    block_of = [0] * n
-    for b, block in enumerate(part.blocks):
-        for name in block:
-            block_of[space.index(name)] = b
-    block_indices = [tuple(space.index(p) for p in block) for block in part.blocks]
-    block_sizes = [len(block) for block in part.blocks]
-
-    # each injective tuple is reached once by the orbit search and mapped
-    # by every generator, and its signature and lookup cost about one
-    # more such map, of at most n entries
-    tuple_count = sum(
-        factorial(n) // factorial(n - k) for k in range(1, n + 1)
-    )
-    work = tuple_count * (len(group.generators) + 1) * n
-    if work > max_work:
-        raise BoundExceededError(
-            f"direct full-transitivity check needs about {work} operations, "
-            f"above the bound of {max_work}"
-        )
-
-    failure = None
-    for k in range(1, n + 1):
-        xs = _first_unrealised_tuple(n, k, group.generators, block_of, block_sizes)
-        if xs is None:
-            continue
-        realized = _tuple_orbit(xs, group.generators)
-        pools = [block_indices[block_of[i]] for i in xs]
-        ys = next(
-            (ys for ys in itertools.product(*pools) if len(set(ys)) == k and ys not in realized),
-            None,
-        )
-        if ys is None:
-            raise InternalCheckError(f"orbit count of {xs} is short, yet every image is realised")
-        failure = (tuple(space.points[i] for i in xs), tuple(space.points[j] for j in ys))
-        break
+    failure = _direct_failure(space, part)
     direct_ok = failure is None
 
     if direct_ok != order_ok:
@@ -649,57 +627,47 @@ def is_fully_transitive(
     )
 
 
-def _tuple_orbit(xs, generators) -> set[tuple[int, ...]]:
-    """Orbit of a tuple of point indices under the group the generators generate."""
-    orbit = {xs}
-    frontier = [xs]
-    while frontier:
-        ys = frontier.pop()
-        for g in generators:
-            zs = tuple(map(g.__getitem__, ys))
-            if zs not in orbit:
-                orbit.add(zs)
-                frontier.append(zs)
-    return orbit
+def _direct_failure(space, part):
+    """The first unrealised pair (xs, ys) of the direct check, or None.
 
-
-def _first_unrealised_tuple(n, k, generators, block_of, block_sizes):
-    """First injective k-tuple, in ``itertools.permutations`` order, whose
-    orbit lacks some tuple of its own block signature; None if none does.
-
-    Each orbit is searched once, from its first member; the verdicts of
-    its later members wait in ``pending`` until the walk reaches them.
+    See ``is_fully_transitive`` for the criterion.  Each stabiliser check
+    is named by the tuple xs = sorted(P) + (first point u of B minus P),
+    and the checks run in (length, xs) order, so the first that fails is
+    the first failing tuple: the first m_B points of each block give the
+    least sorted prefix of any set with those counts.  Its first
+    unrealised image keeps the prefix, which is the first injective one
+    of its signature, and sends u to the first point of B the check
+    found out of reach.
     """
-    alone = [block_sizes[b] == 1 for b in block_of]
-    pending = {}
-    for xs in itertools.permutations(range(n), k):
-        ok = pending.pop(xs, None)
-        if ok is None:
-            orbit = _tuple_orbit(xs, generators)
-            if len(orbit) == 1:
-                # the only tuple of its signature iff each point is alone in its block
-                ok = all(map(alone.__getitem__, xs))
-            else:
-                signature = {ys: tuple(map(block_of.__getitem__, ys)) for ys in orbit}
-                verdict = {
-                    sig: count == _arrangements(sig, block_sizes)
-                    for sig, count in Counter(signature.values()).items()
-                }
-                for ys, sig in signature.items():
-                    pending[ys] = verdict[sig]
-                ok = pending.pop(xs)
-        if not ok:
-            return xs
+    masks = space._masks
+    blocks = [tuple(map(space.index, block)) for block in part.blocks]
+    cand = [0] * space.size
+    for block in blocks:
+        mask = sum(1 << i for i in block)
+        for i in block:
+            cand[i] = mask
+
+    movable = [block for block in blocks if len(block) > 1]
+    checks = []
+    for counts in itertools.product(*(range(len(block)) for block in movable)):
+        prefix = sorted(i for block, m in zip(movable, counts) for i in block[:m])
+        for block, m in zip(movable, counts):
+            if m + 1 < len(block):
+                checks.append(((*prefix, block[m]), block[m + 1:]))
+    checks.sort(key=lambda check: (len(check[0]), check[0]))
+
+    for xs, others in checks:
+        pinned = list(cand)
+        for i in xs[:-1]:
+            pinned[i] = 1 << i
+        for y in others:
+            pinned[xs[-1]] = 1 << y
+            if not pure.search(masks, masks, pinned, 1):
+                return (
+                    tuple(space.points[i] for i in xs),
+                    tuple(space.points[i] for i in (*xs[:-1], y)),
+                )
     return None
-
-
-def _arrangements(signature, block_sizes) -> int:
-    """Injective tuples with this block signature: prod |B|!/(|B|-m_B)! over blocks B."""
-    count, used = 1, Counter()
-    for b in signature:
-        count *= block_sizes[b] - used[b]
-        used[b] += 1
-    return count
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,9 @@ class Ordinal:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a finite ordinal equals its int, so it must hash like it
+        if self.is_finite:
+            return hash(int(self))
         return hash(self.terms)
 
     def __add__(self, other) -> Ordinal:
@@ -199,6 +202,8 @@ def _operand(value):
 def omega_power(exponent: Ordinal | int, coefficient: int = 1) -> Ordinal:
     """omega^exponent * coefficient (0 when the coefficient is 0)."""
     exponent = as_ordinal(exponent)
+    if not isinstance(coefficient, int) or isinstance(coefficient, bool) or coefficient < 0:
+        raise DomainError(f"coefficient must be a non-negative int, got {coefficient!r}")
     if coefficient == 0:
         return ZERO
     return Ordinal(((exponent, coefficient),))
@@ -334,7 +339,13 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # Python refuses int() on more digits than sys.get_int_max_str_digits()
+            raise ParseError(
+                f"integer literal of {self.pos - start} digits is too long", position=start
+            ) from None
 
     def ordinal(self, depth: int) -> Ordinal:
         if depth > self.max_depth:

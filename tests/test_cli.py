@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from scatterkit.cli import build_parser, main
+from scatterkit.verify import chain_space
 
 
 def run_cli(*argv):
@@ -65,6 +66,12 @@ def test_parse_error_exits_2():
     assert code == 2
 
 
+def test_over_long_literal_exits_2(capsys):
+    code, _ = run_cli("classify", "7" * 5000)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: integer literal of 5000 digits")
+
+
 def test_domain_error_exits_1():
     code, _ = run_cli("rank", "w^2", "--space", "w")
     assert code == 1
@@ -81,6 +88,27 @@ def test_fspace_commands(tmp_path):
     assert "homeo_order: 2" in out
     assert "fully_transitive: true" in out
     assert "normal_subgroups: 2" in out
+
+
+def test_fspace_full_transitivity_at_default_bounds(tmp_path):
+    chain = tmp_path / "chain10.txt"
+    chain.write_text(chain_space(10).to_text())
+    code, out = run_cli("--format", "structured", "fspace", str(chain), "--full-transitivity")
+    assert code == 0
+    assert "fully_transitive=true" in out.splitlines()
+    # four layers of three points, each point above every point of the lower layers
+    layered = tmp_path / "layered.txt"
+    layered.write_text(
+        "".join(
+            f"x{layer}_{i}: x{layer}_{i} {' '.join(f'x{lo}_{j}' for lo in range(layer) for j in range(3))}\n"
+            for layer in range(4)
+            for i in range(3)
+        )
+    )
+    code, out = run_cli("--format", "structured", "fspace", str(layered), "--full-transitivity")
+    assert code == 0
+    lines = out.splitlines()
+    assert "homeo_order=1296" in lines and "fully_transitive=true" in lines
 
 
 def test_fspace_normal_generators_are_pinned(tmp_path):

@@ -283,21 +283,54 @@ def _direct_check_reference(space, group, part):
     return True, None
 
 
+def disjoint_union(*spaces):
+    points, opens = [], {}
+    for t, space in enumerate(spaces):
+        for p in space.points:
+            points.append(f"{p}_{t}")
+            opens[f"{p}_{t}"] = {f"{q}_{t}" for q in space.min_open[p]}
+    return FiniteSpace(points, opens)
+
+
+def layered_space(layers, width):
+    """Each point of a layer sees every point of the layers below it."""
+    points, opens, below = [], {}, set()
+    for layer in range(layers):
+        row = [f"x{layer}_{i}" for i in range(width)]
+        for p in row:
+            opens[p] = below | {p}
+        points += row
+        below |= set(row)
+    return FiniteSpace(points, opens)
+
+
 def test_direct_check_matches_reference():
     spaces = [sp for n in range(0, 5) for sp in enumerate_t0_spaces(n)]
     spaces += [two_fans(), discrete_space(5), star_space(5, 1)]
+    spaces += [
+        # pinning a pins its whole block {a, b} (m_B = |B| - 1), and that pins c
+        FiniteSpace.parse("a: a\nb: b\nc: a c\nd: b d\n"),
+        disjoint_union(chain_space(2), chain_space(2), chain_space(2)),
+        disjoint_union(star_space(3), star_space(2)),  # two_fans() in the other order
+        layered_space(2, 2),
+    ]
     for space in spaces:
         report = is_fully_transitive(space)
         holds, failure = _direct_check_reference(space, report.group, report.partition)
         assert (report.direct_check, report.failure) == (holds, failure), space.to_text()
 
 
-def test_full_transitivity_work_bound():
-    with pytest.raises(BoundExceededError, match="operations"):
-        is_fully_transitive(discrete_space(5), max_work=1000)
-    # |G| = 8! is no obstacle: the estimate counts generators, not elements
+def test_full_transitivity_of_discrete_eight():
     report = is_fully_transitive(discrete_space(8), max_points=8)
     assert report.holds and report.group_order == factorial(8)
+
+
+def test_full_transitivity_at_default_bounds():
+    # the direct check pins stabilisers instead of walking the n!-sized tuple sets
+    report = is_fully_transitive(chain_space(10))
+    assert report.holds and report.group_order == 1
+    report = is_fully_transitive(layered_space(4, 3))
+    assert report.holds and report.group_order == factorial(3) ** 4 == 1296
 
 
 # --- swaps -------------------------------------------------------------------------

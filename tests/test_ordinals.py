@@ -110,6 +110,14 @@ def test_parse_errors_report_position():
         o("w^2 w")
 
 
+def test_parse_refuses_over_long_integer_literals():
+    # Python's int() refuses more than 4300 digits; that is a ParseError here
+    assert int(parse("7" * 4300)) == int("7" * 4300)
+    with pytest.raises(ParseError, match="too long") as err:
+        parse("w + " + "7" * 5000)
+    assert err.value.position == 4
+
+
 def test_parse_depth_limit():
     deep = "w^(" * 80 + "1" + ")" * 80
     with pytest.raises(ParseError, match="depth"):
@@ -276,6 +284,13 @@ def test_entry_points_refuse_non_ordinals():
                 call()
 
 
+def test_omega_power_refuses_bad_coefficients():
+    for bad in (-1, 1.5, "x"):
+        with pytest.raises(DomainError, match="coefficient"):
+            omega_power(1, bad)
+    assert omega_power(1, 0) == ZERO and omega_power(1, 2) == o("w*2")
+
+
 def test_operators_return_not_implemented_on_non_ordinals():
     for bad in NOT_ORDINALS:
         assert w.__lt__(bad) is NotImplemented
@@ -296,3 +311,14 @@ def test_hash_and_repr():
     assert hash(o("w + 1")) == hash(o("w + 1"))
     assert {o("w"), parse("w")} == {w}
     assert "w + 1" in repr(o("w + 1"))
+
+
+def test_finite_ordinals_hash_like_their_int():
+    three = Ordinal.from_int(3)
+    assert 3 in {three} and three in {3}
+    assert hash(ZERO) == hash(0) and ZERO in {0}
+    mixed = {3: "int", o("w"): "omega"}
+    mixed[three] = "ordinal"
+    mixed[o("0")] = "zero"
+    assert mixed == {3: "ordinal", w: "omega", 0: "zero"}
+    assert mixed[3] == "ordinal" and mixed[ZERO] == "zero"
