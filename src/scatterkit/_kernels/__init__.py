@@ -50,7 +50,9 @@ def refine_colors(masks_a, masks_b, colors_a=None, colors_b=None):
     """Jointly refine point colours on both structures to a stable partition.
 
     Returns (colors_a, colors_b) or None when the colour multisets differ,
-    in which case no isomorphism exists.
+    in which case no isomorphism exists.  When both sides are the same
+    masks with the same colours (automorphisms), each round's signatures
+    are computed once.
     """
     na, nb = len(masks_a), len(masks_b)
     if colors_a is None:
@@ -58,14 +60,15 @@ def refine_colors(masks_a, masks_b, colors_a=None, colors_b=None):
     if colors_b is None:
         colors_b = [0] * nb
     colors_a, colors_b = list(colors_a), list(colors_b)
+    same = masks_a is masks_b and colors_a == colors_b
     member_a = _transpose(na, masks_a)
-    member_b = _transpose(nb, masks_b)
+    member_b = member_a if same else _transpose(nb, masks_b)
     for _ in range(max(na, nb) + 1):
         sig_a = _signature_colors(masks_a, member_a, colors_a)
-        sig_b = _signature_colors(masks_b, member_b, colors_b)
+        sig_b = sig_a if same else _signature_colors(masks_b, member_b, colors_b)
         table = {s: c for c, s in enumerate(sorted(set(sig_a) | set(sig_b)))}
         new_a = [table[s] for s in sig_a]
-        new_b = [table[s] for s in sig_b]
+        new_b = new_a if same else [table[s] for s in sig_b]
         if sorted(new_a) != sorted(new_b):
             return None
         if new_a == colors_a and new_b == colors_b:

@@ -7,9 +7,9 @@ of minimal opens, and the self-homeomorphisms are exactly the
 permutations h with h(U_x) = U_{h(x)}.
 
 The module computes Cantor-Bendixson data, similarity classes, the full
-homeomorphism group (by pruned backtracking), fixators, full
-transitivity by two independent methods, swap witnesses, and the normal
-subgroup lattice of small permutation groups.
+homeomorphism group (as a stabiliser chain from pinned searches),
+fixators, full transitivity by two independent methods, swap witnesses,
+and the normal subgroup lattice of small permutation groups.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import factorial
 
-from ._kernels import _bits, isomorphisms, pure
+from ._kernels import _bits, isomorphisms, pure, refine_colors
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -27,6 +27,7 @@ from .errors import (
     UnknownPointError,
     ValidationError,
 )
+from .permgroups import PermutationGroup, _compose, _grow_closure, _grow_orbit, _inverse
 
 __all__ = [
     "FiniteSpace",
@@ -56,7 +57,6 @@ __all__ = [
 
 DEFAULT_MAX_POINTS = 12
 DEFAULT_MAX_GROUP_ORDER = 40320
-DEFAULT_HOMEO_ELEMENT_CAP = 1_000_000
 
 
 class FiniteSpace:
@@ -352,165 +352,59 @@ def similarity_partition(space: FiniteSpace) -> SimilarityPartition:
     )
 
 
-class PermutationGroup:
-    """A concrete permutation group on named points.
+def _stabiliser_chain(masks, cand):
+    """The chain of the group of permutations p with p(masks[i]) ==
+    masks[p(i)] and p(i) in cand[i] for every i, from pinned kernel
+    searches; ``cand`` gives each point its cell in a partition that every
+    such p preserves.
 
-    Elements are stored explicitly as image tuples over the ground order;
-    a reduced generator list is kept for reporting and conjugation.
+    Level i pins 0..i-1 to themselves.  The orbit of i is first grown by
+    closure under the elements already found that fix that prefix; then
+    one ``limit=1`` search at a time asks for an element sending i into
+    the part of its candidate cell not yet reached, until none exists.
+    When no element fixing the prefix is known, one ``limit=2`` search
+    either finds one or shows the prefix's pointwise stabiliser is
+    trivial, which ends the chain, so a rigid structure costs at most one
+    search.  A point whose cell holds no other unpinned point is fixed,
+    and its level needs no search.
     """
-
-    def __init__(self, ground, elements, generators=None):
-        self.ground = tuple(ground)
-        n = len(self.ground)
-        elements = frozenset(tuple(e) for e in elements)
-        identity = tuple(range(n))
-        if identity not in elements:
-            raise ValueError("a permutation group must contain the identity")
-        self.elements = elements
-        if generators is None:
-            generators = _reduce_generators(n, elements)
-        self.generators = tuple(tuple(g) for g in generators)
-
-    @classmethod
-    def from_generators(cls, ground, generators) -> PermutationGroup:
-        n = len(tuple(ground))
-        gens = [tuple(g) for g in generators]
-        return cls(ground, _close(n, gens), gens)
-
-    @classmethod
-    def symmetric(cls, ground) -> PermutationGroup:
-        ground = tuple(ground)
-        n = len(ground)
-        return cls(ground, itertools.permutations(range(n)))
-
-    @classmethod
-    def trivial(cls, ground) -> PermutationGroup:
-        ground = tuple(ground)
-        return cls(ground, [tuple(range(len(ground)))])
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return tuple(range(len(self.ground)))
-
-    def __contains__(self, perm) -> bool:
-        return tuple(perm) in self.elements
-
-    def __eq__(self, other):
-        if not isinstance(other, PermutationGroup):
-            return NotImplemented
-        return self.ground == other.ground and self.elements == other.elements
-
-    def __hash__(self):
-        return hash((self.ground, self.elements))
-
-    def as_mapping(self, perm) -> dict[str, str]:
-        return {self.ground[i]: self.ground[j] for i, j in enumerate(perm)}
-
-    def cycle_string(self, perm) -> str:
-        seen, parts = set(), []
-        for i in range(len(perm)):
-            if i in seen or perm[i] == i:
-                seen.add(i)
-                continue
-            cycle, j = [], i
-            while j not in seen:
-                seen.add(j)
-                cycle.append(self.ground[j])
-                j = perm[j]
-            parts.append("(" + " ".join(cycle) + ")")
-        return "".join(parts) if parts else "id"
-
-    def subgroup(self, elements) -> PermutationGroup:
-        return PermutationGroup(self.ground, elements)
-
-    def sorted_elements(self) -> list[tuple[int, ...]]:
-        return sorted(self.elements)
-
-    def is_normal(self, sub: PermutationGroup) -> bool:
-        if sub.ground != self.ground:
-            raise ValueError("subgroup on a different ground set")
-        sub_set = sub.elements
-        for g in self.generators:
-            g_inv = _inverse(g)
-            for h in sub_set:
-                if _compose(g, _compose(h, g_inv)) not in sub_set:
-                    return False
-        return True
-
-    def __repr__(self):
-        return f"PermutationGroup(order={self.order}, ground={list(self.ground)!r})"
+    n = len(masks)
+    identity = tuple(range(n))
+    pinned = list(cand)
+    chain = []
+    known = []  # elements found so far that fix 0..i-1
+    for i in range(n):
+        cell = cand[i] >> i << i
+        if cell != 1 << i:
+            if not known:
+                known = [g for g in pure.search(masks, masks, pinned, 2) if g != identity]
+                if not known:
+                    break
+            orbit = _grow_orbit({i: identity}, known)
+            reached = sum(1 << j for j in orbit)
+            while cell & ~reached:
+                pinned[i] = cell & ~reached
+                found = pure.search(masks, masks, pinned, 1)
+                if not found:
+                    break
+                known.append(found[0])
+                _grow_orbit(orbit, known)
+                reached = sum(1 << j for j in orbit)
+            if len(orbit) > 1:
+                chain.append((i, orbit))
+            known = [g for g in known if g[i] == i]
+        pinned[i] = 1 << i
+    return chain
 
 
-def _compose(g, h):
-    """Apply h first, then g."""
-    return tuple(map(g.__getitem__, h))
+def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> PermutationGroup:
+    """All permutations preserving the minimal-open-set assignment, as a
+    stabiliser chain on the base of the point order.
 
-
-def _inverse(g):
-    inv = [0] * len(g)
-    for i, j in enumerate(g):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _close(n, generators):
-    elements = {tuple(range(n))}
-    _grow_closure(elements, [], generators)
-    return elements
-
-
-def _grow_closure(elements, gens, extra):
-    """Grow ``elements`` = <gens> in place to <gens, extra>.
-
-    Each member of ``extra`` not yet inside is appended to ``gens``.  Only
-    the new elements are multiplied by every generator; the old ones need
-    the added generator alone, since they are already closed under the rest.
-    """
-    for g in extra:
-        if g in elements:
-            continue
-        gens.append(g)
-        frontier = []
-        for h in list(elements):
-            prod = _compose(h, g)
-            if prod not in elements:
-                elements.add(prod)
-                frontier.append(prod)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for s in gens:
-                    prod = _compose(h, s)
-                    if prod not in elements:
-                        elements.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-
-
-def _reduce_generators(n, elements):
-    gens: list[tuple[int, ...]] = []
-    have = {tuple(range(n))}
-    for g in sorted(elements):
-        if g not in have:
-            _grow_closure(have, gens, [g])
-            if len(have) == len(elements):
-                break
-    return gens
-
-
-def homeo_group(
-    space: FiniteSpace,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_order: int = DEFAULT_HOMEO_ELEMENT_CAP,
-) -> PermutationGroup:
-    """All permutations preserving the minimal-open-set assignment.
-
-    The backtracking search is pruned by the homeomorphism invariants
-    (CB rank, minimal open size, closure size) before branching.
+    The candidate images of a point are its cell under colour refinement
+    started from the homeomorphism invariants (CB rank, minimal open
+    size, closure size); ``_stabiliser_chain`` then makes the pinned
+    kernel searches.  No element is listed until one is asked for.
     """
     n = space.size
     if n > max_points:
@@ -530,12 +424,13 @@ def homeo_group(
     ]
     palette = {c: k for k, c in enumerate(sorted(set(colors)))}
     colors = [palette[c] for c in colors]
-    perms = isomorphisms(space._masks, space._masks, colors, colors, limit=max_order + 1)
-    if len(perms) > max_order:
-        raise BoundExceededError(
-            f"homeomorphism group has more than {max_order} elements; raise max_order to force"
-        )
-    return PermutationGroup(space.points, perms)
+    colors, _ = refine_colors(space._masks, space._masks, colors, colors)
+    cells = {}
+    for i, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << i
+    return PermutationGroup._from_chain(
+        space.points, _stabiliser_chain(space._masks, [cells[c] for c in colors])
+    )
 
 
 def fixator(group: PermutationGroup, names) -> PermutationGroup:
@@ -791,7 +686,7 @@ def conjugacy_classes(group: PermutationGroup) -> list[frozenset[tuple[int, ...]
     remaining = set(group.elements)
     gens_with_inv = [(g, _inverse(g)) for g in group.generators]
     classes = []
-    for rep in sorted(group.elements):
+    for rep in group.sorted_elements():
         if rep not in remaining:
             continue
         orbit = {rep}
@@ -806,6 +701,11 @@ def conjugacy_classes(group: PermutationGroup) -> list[frozenset[tuple[int, ...]
         remaining -= orbit
         classes.append(frozenset(orbit))
     return classes
+
+
+def _check_order(group, max_order):
+    if group.order > max_order:
+        raise BoundExceededError(f"group order {group.order} is above the bound of {max_order}")
 
 
 def normal_subgroups(
@@ -823,10 +723,7 @@ def normal_subgroups(
     are built from their element sets, so their reported generators do not
     depend on how the lattice was searched.
     """
-    if group.order > max_order:
-        raise BoundExceededError(
-            f"group order {group.order} is above the bound of {max_order}"
-        )
+    _check_order(group, max_order)
     n = len(group.ground)
     trivial = frozenset([tuple(range(n))])
     class_subgroups = []  # (a class member, generators of the class-generated subgroup)
@@ -910,6 +807,7 @@ def verify_remark19(
     if not ft.holds:
         raise DomainError("the candidate list applies to fully transitive spaces only")
     group, part = ft.group, ft.partition
+    _check_order(group, max_order)
     blocks = part.blocks
     block_idx = [tuple(space.index(p) for p in block) for block in blocks]
 
@@ -922,10 +820,11 @@ def verify_remark19(
             roles.append("L")
         role_choices.append(roles)
 
+    elements = group.sorted_elements()
     by_elements: dict[frozenset, list[tuple[str, ...]]] = {}
     for assignment in itertools.product(*role_choices):
         kept = []
-        for perm in group.sorted_elements():
+        for perm in elements:
             ok = True
             for b, role in enumerate(assignment):
                 idx = block_idx[b]

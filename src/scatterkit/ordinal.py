@@ -22,6 +22,7 @@ to right.  `parse(format_ordinal(o)) == o` for every valid ordinal.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -282,23 +283,33 @@ def kind(o: Ordinal | int) -> Kind:
 
 
 def format_ordinal(o: Ordinal) -> str:
-    """Canonical rendering; omits *1 and ^1, prints the finite term bare."""
+    """Canonical rendering; omits *1 and ^1, prints the finite term bare.
+
+    Raises DomainError when a coefficient has more digits than Python
+    converts to text (``sys.get_int_max_str_digits()``, 4300 by default);
+    a sum of two literals that parse can reach that length.
+    """
     if not o.terms:
         return "0"
     parts = []
-    for exp, coeff in o.terms:
-        if exp.is_zero:
-            parts.append(str(coeff))
-            continue
-        if exp == ONE:
-            s = "w"
-        elif exp.is_finite:
-            s = f"w^{int(exp)}"
-        else:
-            s = f"w^({format_ordinal(exp)})"
-        if coeff != 1:
-            s += f"*{coeff}"
-        parts.append(s)
+    try:
+        for exp, coeff in o.terms:
+            if exp.is_zero:
+                parts.append(str(coeff))
+                continue
+            if exp == ONE:
+                s = "w"
+            elif exp.is_finite:
+                s = f"w^{int(exp)}"
+            else:
+                s = f"w^({format_ordinal(exp)})"
+            if coeff != 1:
+                s += f"*{coeff}"
+            parts.append(s)
+    except ValueError:
+        raise DomainError(
+            f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return " + ".join(parts)
 
 

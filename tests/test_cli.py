@@ -72,6 +72,13 @@ def test_over_long_literal_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: integer literal of 5000 digits")
 
 
+def test_over_long_coefficient_exits_1(capsys):
+    nines = "9" * 4300
+    code, out = run_cli("classify", f"{nines} + {nines}")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: cannot print a coefficient of more than 4300 digits\n"
+
+
 def test_domain_error_exits_1():
     code, _ = run_cli("rank", "w^2", "--space", "w")
     assert code == 1

@@ -118,6 +118,18 @@ def test_parse_refuses_over_long_integer_literals():
     assert err.value.position == 4
 
 
+def test_format_refuses_over_long_coefficients():
+    # two 4300-digit literals parse, and their sums have 4301-digit coefficients
+    nines = "9" * 4300
+    for text in (f"{nines} + {nines}", f"w*{nines} + w*{nines}", f"w^({nines} + {nines})"):
+        value = parse(text)
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            format_ordinal(value)
+        with pytest.raises(DomainError):
+            str(value)
+    assert format_ordinal(parse(f"w*{nines}")) == f"w*{nines}"
+
+
 def test_parse_depth_limit():
     deep = "w^(" * 80 + "1" + ")" * 80
     with pytest.raises(ParseError, match="depth"):

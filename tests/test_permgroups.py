@@ -1,0 +1,267 @@
+"""Groups held as stabiliser chains, against element-based references."""
+
+import io
+import itertools
+from contextlib import redirect_stdout
+from math import factorial
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from scatterkit import permgroups
+from scatterkit._kernels import isomorphisms
+from scatterkit.cli import main
+from scatterkit.errors import BoundExceededError
+from scatterkit.finite import (
+    FiniteSpace,
+    cb_data,
+    enumerate_preorder_spaces,
+    homeo_group,
+    is_fully_transitive,
+    normal_subgroups,
+    verify_remark19,
+)
+from scatterkit.graphs import Graph, aut, encode
+from scatterkit.permgroups import PermutationGroup, _grow_closure, _schreier_sims, _sift
+from scatterkit.verify import discrete_space, double_fan_space, star_space
+
+
+def run_cli(*argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+# --- references ------------------------------------------------------------------
+
+
+def _homeo_reference(space):
+    """Every homeomorphism, from one unpinned enumeration of the kernel."""
+    n = space.size
+    if n == 0:
+        return [()]
+    ranks = cb_data(space).rank_of
+    closure_sizes = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if (space._masks[i] >> j) & 1:
+                closure_sizes[j] += 1
+    colors = [
+        (ranks[space.points[i]], space._masks[i].bit_count(), closure_sizes[i])
+        for i in range(n)
+    ]
+    palette = {c: k for k, c in enumerate(sorted(set(colors)))}
+    colors = [palette[c] for c in colors]
+    return isomorphisms(space._masks, space._masks, colors, colors, limit=0)
+
+
+def _close(n, generators):
+    elements = {tuple(range(n))}
+    _grow_closure(elements, [], generators)
+    return elements
+
+
+def _reduce_generators(n, elements):
+    """The greedy generators, by re-closing: each is the lex-first element
+    not yet in the group the earlier ones generate."""
+    gens = []
+    have = {tuple(range(n))}
+    for g in sorted(elements):
+        if g not in have:
+            _grow_closure(have, gens, [g])
+            if len(have) == len(elements):
+                break
+    return gens
+
+
+def _assert_matches(group, elements):
+    n = len(group.ground)
+    reference = sorted(elements)
+    assert group.order == len(reference)
+    assert group.elements == frozenset(reference)
+    assert group.sorted_elements() == reference
+    assert list(group.generators) == _reduce_generators(n, reference)
+
+
+# --- inputs ------------------------------------------------------------------------
+
+
+def fan_forest(widths):
+    points, opens = [], {}
+    for t, width in enumerate(widths):
+        leaves = [f"l{t}_{i}" for i in range(width)]
+        for leaf in leaves:
+            points.append(leaf)
+            opens[leaf] = {leaf}
+        points.append(f"c{t}")
+        opens[f"c{t}"] = {f"c{t}", *leaves}
+    return FiniteSpace(points, opens)
+
+
+def complete_graph(n):
+    names = [f"v{i}" for i in range(n)]
+    return Graph(names, list(itertools.combinations(names, 2)))
+
+
+def petersen():
+    names = [f"v{i}" for i in range(10)]
+    outer = [(names[i], names[(i + 1) % 5]) for i in range(5)]
+    inner = [(names[5 + i], names[5 + (i + 2) % 5]) for i in range(5)]
+    spokes = [(names[i], names[i + 5]) for i in range(5)]
+    return Graph(names, outer + inner + spokes)
+
+
+GRAPHS = [complete_graph(4), complete_graph(5), complete_graph(6), petersen()]
+
+
+def named_spaces():
+    spaces = [discrete_space(n) for n in range(1, 9)]
+    spaces += [fan_forest((3, 3, 3)), fan_forest((4, 5)), double_fan_space()]
+    spaces += [star_space(leaves, tiers) for leaves in (3, 4, 5) for tiers in (1, 2)]
+    return spaces + [encode(g) for g in GRAPHS]
+
+
+# --- chain-built groups against the references ----------------------------------------
+
+
+def test_chain_groups_match_reference_on_small_preorders():
+    for n in range(0, 6):
+        for space in enumerate_preorder_spaces(n):
+            _assert_matches(homeo_group(space), _homeo_reference(space))
+
+
+def test_chain_groups_match_reference_on_named_spaces():
+    for space in named_spaces():
+        group = homeo_group(space, max_points=40)
+        _assert_matches(group, _homeo_reference(space))
+        if group.order <= 720:
+            for sub in normal_subgroups(group):
+                _assert_matches(sub, sub.elements)
+
+
+def test_element_built_groups_match_reference():
+    for g in GRAPHS:
+        group = aut(g, max_vertices=10)
+        _assert_matches(group, group.elements)
+    for space in named_spaces():
+        elements = _homeo_reference(space)
+        group = PermutationGroup(space.points, elements)
+        _assert_matches(group, elements)
+        assert group == homeo_group(space, max_points=40)
+
+
+def test_equal_orders_do_not_make_groups_equal():
+    swap_front = PermutationGroup.from_generators(range(4), [(1, 0, 2, 3)])
+    swap_back = PermutationGroup.from_generators(range(4), [(0, 1, 3, 2)])
+    assert swap_front.order == swap_back.order == 2
+    assert swap_front != swap_back
+    assert swap_front != PermutationGroup(range(4), [(0, 1, 2, 3), (0, 1, 3, 2)])
+    assert swap_front == PermutationGroup(range(4), [(0, 1, 2, 3), (1, 0, 2, 3)])
+
+
+def test_symmetric_group_is_the_discrete_homeo_group():
+    for n in range(0, 7):
+        space = discrete_space(n)
+        assert PermutationGroup.symmetric(space.points) == homeo_group(space)
+        assert PermutationGroup.symmetric(space.points).sorted_elements() == sorted(
+            itertools.permutations(range(n))
+        )
+
+
+# --- the Schreier-Sims chain ---------------------------------------------------------
+
+
+@st.composite
+def generator_lists(draw):
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=4))
+    probes = draw(st.lists(st.permutations(range(n)), max_size=20))
+    return n, [tuple(g) for g in gens], [tuple(p) for p in probes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists())
+@example((4, [], [(1, 0, 2, 3)]))
+@example((4, [(0, 1, 2, 3)], [(0, 1, 2, 3), (1, 0, 2, 3)]))
+@example((5, [(1, 0, 2, 3, 4)], [(1, 0, 2, 3, 4), (0, 2, 1, 3, 4)]))
+def test_schreier_sims_against_closure(case):
+    n, gens, probes = case
+    closed = _close(n, gens)
+    group = PermutationGroup.from_generators(range(n), gens)
+    assert group.order == len(closed)
+    chain = _schreier_sims(n, gens)
+    identity = tuple(range(n))
+    for g in closed:
+        assert _sift(chain, g) == identity
+    for p in probes:
+        assert (p in group) == (p in closed)
+    if len(closed) <= 720:
+        _assert_matches(PermutationGroup._from_chain(range(n), chain), closed)
+
+
+# --- cheap paths --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_listing(monkeypatch):
+    """Fail if any chain-built group lists its elements."""
+
+    def refuse(*args):
+        raise AssertionError("elements were listed")
+
+    monkeypatch.setattr(permgroups, "_walk", refuse)
+
+
+def test_large_groups_answer_without_listing_elements(no_listing):
+    space = discrete_space(12)
+    group = homeo_group(space)
+    assert group.order == factorial(12)
+    other = homeo_group(space)
+    assert group == other and hash(group) == hash(other)
+    assert group == PermutationGroup.symmetric(space.points)
+    assert len(group.generators) == 11
+    report = is_fully_transitive(space, group=group)
+    assert report.holds and report.group_order == factorial(12)
+    with pytest.raises(BoundExceededError, match="above the cap of 1000000"):
+        group.elements
+
+
+def test_remark19_refuses_before_listing_elements(no_listing):
+    with pytest.raises(BoundExceededError, match="^group order 362880 is above the bound of 40320$"):
+        verify_remark19(discrete_space(9))
+
+
+def test_fspace_group_at_twelve_points(tmp_path):
+    discrete = tmp_path / "discrete12.txt"
+    discrete.write_text(discrete_space(12).to_text())
+    code, out = run_cli(
+        "--format", "structured", "fspace", str(discrete), "--group", "--full-transitivity"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "homeo_order=479001600" in lines
+    assert "fully_transitive=true" in lines and "expected_order=479001600" in lines
+    assert [line for line in lines if line.startswith("generator.")] == [
+        f"generator.{i}=(p{11 - i} p{12 - i})" for i in range(11)
+    ]
+    # leaves permuted within each fan, fans of one width permuted among themselves
+    for widths, order, expected in (((3, 3, 3), 1296, 2177280), ((5, 5), 28800, 7257600)):
+        fans = tmp_path / "fans.txt"
+        fans.write_text(fan_forest(widths).to_text())
+        code, out = run_cli(
+            "--format", "structured", "fspace", str(fans), "--group", "--full-transitivity"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert f"homeo_order={order}" in lines
+        assert "fully_transitive=false" in lines and f"expected_order={expected}" in lines
+
+
+def test_fspace_normal_refuses_large_groups(tmp_path, capsys):
+    path = tmp_path / "discrete10.txt"
+    path.write_text(discrete_space(10).to_text())
+    code, _ = run_cli("--format", "structured", "fspace", str(path), "--normal")
+    assert code == 1
+    assert capsys.readouterr().err == "error: group order 3628800 is above the bound of 40320\n"
