@@ -434,14 +434,14 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
 
 
 def fixator(group: PermutationGroup, names) -> PermutationGroup:
-    """The subgroup fixing the given points one by one."""
+    """The subgroup fixing the given points one by one, from the group's
+    generators; no element is listed."""
     idx = []
     for name in names:
         if name not in group.ground:
             raise UnknownPointError(f"unknown point {name!r}")
         idx.append(group.ground.index(name))
-    kept = [g for g in group.elements if all(g[i] == i for i in idx)]
-    return PermutationGroup(group.ground, kept)
+    return group.pointwise_stabiliser(idx)
 
 
 @dataclass(frozen=True)

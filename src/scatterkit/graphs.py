@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .finite import FiniteSpace, PermutationGroup, cb_data, homeo_group
+from .permgroups import _compose
 
 __all__ = [
     "Graph",
@@ -222,67 +223,76 @@ def verify_prop24(
     """Check the encoding: the restriction map is a group isomorphism onto
     the automorphism group, the derived sets are E then empty, vertex
     closures are vertex plus incident edges, and the isolated points are
-    exactly the vertices."""
+    exactly the vertices.
+
+    The restriction side works from the homeomorphism group's generators
+    and chain order: the generators must map V into V, their restrictions
+    generate the image r(G), r is injective iff |r(G)| = |G|, and r(G) is
+    compared with the automorphism group by equal order plus mutual
+    generator membership.  Elements are listed only for the composition
+    check on groups of at most ``pairwise_limit`` elements.
+    """
     space = encode(g)
     group = homeo_group(space, max_points=DEFAULT_MAX_POINTS_FOR_ENCODING)
     auto = aut(g, max_vertices=max_vertices)
     counterexample = None
 
+    # Point index -> vertex position, -1 off V.
     vertex_idx = [space.index(v) for v in g.vertices]
-    vertex_set = set(vertex_idx)
-    restrictions = {}
-    injective = True
-    for perm in group.sorted_elements():
-        restricted = tuple(
-            vertex_idx.index(perm[i]) if perm[i] in vertex_set else -1 for i in vertex_idx
-        )
-        if -1 in restricted:
-            injective = False
-            counterexample = f"homeomorphism moves a vertex off V: {group.cycle_string(perm)}"
+    position = [-1] * space.size
+    for k, i in enumerate(vertex_idx):
+        position[i] = k
+
+    def restrict(perm):
+        return tuple(position[perm[i]] for i in vertex_idx)
+
+    restricted = []
+    for s in group.generators:
+        r = restrict(s)
+        if -1 in r:
+            counterexample = f"homeomorphism moves a vertex off V: {group.cycle_string(s)}"
             break
-        if restricted in restrictions:
-            injective = False
+        restricted.append(r)
+    injective = image_is_aut = False
+    if counterexample is None:
+        image = PermutationGroup.from_generators(g.vertices, restricted)
+        injective = image.order == group.order
+        if not injective:
+            kernel = group.pointwise_stabiliser(vertex_idx).generators
             counterexample = (
-                "two homeomorphisms share the restriction "
-                f"{group.cycle_string(perm)} / {group.cycle_string(restrictions[restricted])}"
+                f"homeomorphism {group.cycle_string(kernel[0])} restricts to the identity on V"
             )
-            break
-        restrictions[restricted] = perm
+        else:
+            image_is_aut = image == auto
+            if not image_is_aut:
+                extra = [r for r in image.generators if r not in auto]
+                missing = [a for a in auto.generators if a not in image]
+                sample = auto.cycle_string((extra or missing)[0])
+                side = "not an automorphism" if extra else "not induced by any homeomorphism"
+                counterexample = f"vertex permutation {sample} is {side}"
 
-    image_is_aut = injective and set(restrictions) == set(auto.elements)
-    if injective and not image_is_aut:
-        extra = set(restrictions) - set(auto.elements)
-        missing = set(auto.elements) - set(restrictions)
-        sample = sorted(extra or missing)[0]
-        side = "not an automorphism" if extra else "not induced by any homeomorphism"
-        counterexample = f"vertex permutation {auto.cycle_string(sample)} is {side}"
-
-    # Restriction of a composite is the composite of restrictions whenever
-    # vertices stay vertices; verified pairwise on small groups.
+    # r(s p) = r(s) r(p) for each generator s and element p gives, by
+    # induction on word length, r(q p) = r(q) r(p) for every pair.
     is_isomorphism = injective and image_is_aut
     if is_isomorphism and group.order <= pairwise_limit:
-        elems = group.sorted_elements()
-        restricted_of = {p: restrictions_of(p, vertex_idx) for p in elems}
-        for p in elems:
-            rp = restricted_of[p]
-            for q in elems:
-                composite = tuple(p[q[i]] for i in range(space.size))
-                rq = restricted_of[q]
-                if restrictions_of(composite, vertex_idx) != tuple(rp[rq[i]] for i in range(len(rq))):
-                    is_isomorphism = False
-                    counterexample = "restriction fails to respect composition"
-                    break
-            if not is_isomorphism:
-                break
+        restricted_of = {p: restrict(p) for p in group.sorted_elements()}
+        is_isomorphism = all(
+            restrict(_compose(s, p)) == _compose(rs, rp)
+            for s, rs in zip(group.generators, restricted)
+            for p, rp in restricted_of.items()
+        )
+        if not is_isomorphism:
+            counterexample = "restriction fails to respect composition"
 
     data = cb_data(space)
-    edge_points = frozenset(edge_name(u, v) for u, v in g.sorted_edges())
+    edges = g.sorted_edges()
+    edge_points = frozenset(edge_name(u, v) for u, v in edges)
     derived_is_edges = data.levels[1] == edge_points if len(data.levels) > 1 else False
     second_empty = len(data.levels) > 2 and data.levels[2] == frozenset()
 
     closures_match = True
     for v in g.vertices:
-        expected = {v} | {edge_name(u, w) for u, w in g.sorted_edges() if v in (u, w)}
+        expected = {v} | {edge_name(u, w) for u, w in edges if v in (u, w)}
         actual = space.closure([v])
         if actual != expected:
             closures_match = False
@@ -308,16 +318,12 @@ def verify_prop24(
     )
 
 
-def restrictions_of(perm, vertex_idx):
-    return tuple(vertex_idx.index(perm[i]) for i in vertex_idx)
-
-
 def enumerate_graphs(n: int, up_to_iso: bool = True):
     """All graphs on exactly n labelled vertices with at least one edge.
 
-    With ``up_to_iso`` one representative per isomorphism class is kept
-    (canonical form: the minimum relabelled edge bitmask over all vertex
-    orders).
+    With ``up_to_iso`` one representative per isomorphism class is kept:
+    the first edge bitmask of each class, whose relabellings under every
+    vertex order are then all marked seen.
     """
     if n > 6:
         raise BoundExceededError("graph enumeration is limited to 6 vertices")
@@ -332,12 +338,11 @@ def enumerate_graphs(n: int, up_to_iso: bool = True):
         ]
     seen = set()
     for bits in range(1, 1 << len(pairs)):
+        if bits in seen:
+            continue
         present = [k for k in range(len(pairs)) if (bits >> k) & 1]
         if up_to_iso:
-            canon = min(sum(map(table.__getitem__, present)) for table in relabel)
-            if canon in seen:
-                continue
-            seen.add(canon)
+            seen.update(sum(map(table.__getitem__, present)) for table in relabel)
         yield Graph(names, [(names[pairs[k][0]], names[pairs[k][1]]) for k in present])
 
 

@@ -154,6 +154,28 @@ class PermutationGroup:
             parts.append("(" + " ".join(cycle) + ")")
         return "".join(parts) if parts else "id"
 
+    def pointwise_stabiliser(self, points) -> PermutationGroup:
+        """The subgroup fixing each of the given point indices.
+
+        The generators are conjugated by a relabelling that puts the points
+        first, so Schreier-Sims builds a chain whose levels past them
+        generate their pointwise stabiliser; those transversal elements,
+        conjugated back, generate the answer on the natural base.
+        """
+        n = len(self.ground)
+        first = dict.fromkeys(points)
+        back = (*first, *(i for i in range(n) if i not in first))  # new label -> old
+        to = _inverse(back)
+        chain = _schreier_sims(n, [_compose(to, _compose(g, back)) for g in self.generators])
+        tail = [
+            _compose(back, _compose(u, to))
+            for b, orbit in chain
+            if b >= len(first)
+            for j, u in orbit.items()
+            if j != b
+        ]
+        return PermutationGroup._from_chain(self.ground, _schreier_sims(n, tail))
+
     def subgroup(self, elements) -> PermutationGroup:
         return PermutationGroup(self.ground, elements)
 

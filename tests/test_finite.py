@@ -243,6 +243,34 @@ def test_fixator():
         fixator(group, ["zz"])
 
 
+def _fixator_reference(group, names):
+    """The fixator by filtering the group's listed elements."""
+    idx = [group.ground.index(name) for name in names]
+    return PermutationGroup(group.ground, [g for g in group.elements if all(g[i] == i for i in idx)])
+
+
+def test_fixator_matches_reference():
+    rng = random.Random(12)
+    groups = [homeo_group(_random_preorder(rng, rng.randint(3, 7))) for _ in range(50)]
+    groups += [homeo_group(space) for space in (discrete_space(5), two_fans(), star_space(3, 2))]
+    while len(groups) < 150:
+        n = rng.randint(2, 7)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        groups.append(PermutationGroup.from_generators([f"x{i}" for i in range(n)], gens))
+    for group in groups:
+        names = rng.sample(group.ground, rng.randint(0, len(group.ground)))
+        got, want = fixator(group, names), _fixator_reference(group, names)
+        assert got.elements == want.elements, (group, names)
+        assert got.generators == want.generators, (group, names)
+
+
+def test_fixator_lists_no_elements():
+    # |G| = 12! is far above the cap on listing elements
+    group = fixator(homeo_group(discrete_space(12)), ["p1"])
+    assert group.order == factorial(11)
+    assert fixator(group, ["p5", "p3", "p5"]).order == factorial(9)
+
+
 # --- full transitivity ------------------------------------------------------------
 
 def test_full_transitivity_examples():

@@ -1,13 +1,23 @@
+import dataclasses
+import io
 import itertools
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scatterkit import graphs
 from scatterkit._kernels import isomorphisms
-from scatterkit.errors import BoundExceededError, ParseError, ValidationError
+from scatterkit.cli import main
+from scatterkit.errors import BoundExceededError, ParseError, ScatterkitError, ValidationError
 from scatterkit.finite import PermutationGroup, cb_data, homeo_group, separation_report
 from scatterkit.graphs import (
+    DEFAULT_MAX_POINTS_FOR_ENCODING,
+    DEFAULT_MAX_VERTICES,
     Graph,
+    Prop24Report,
     _automorphisms,
     aut,
     edge_name,
@@ -161,6 +171,178 @@ def test_verify_prop24_petersen():
     assert report.homeo_order == 120
 
 
+def _verify_prop24_reference(g, max_vertices=DEFAULT_MAX_VERTICES, pairwise_limit=200):
+    """Prop 24 from the listed homeomorphisms: restrict each one to V,
+    compare the restriction set with aut's elements, and check composition
+    on all pairs when |G| <= pairwise_limit."""
+    space = encode(g)
+    group = homeo_group(space, max_points=DEFAULT_MAX_POINTS_FOR_ENCODING)
+    auto = aut(g, max_vertices=max_vertices)
+    counterexample = None
+
+    vertex_idx = [space.index(v) for v in g.vertices]
+    vertex_set = set(vertex_idx)
+
+    def restrictions_of(perm):
+        return tuple(vertex_idx.index(perm[i]) for i in vertex_idx)
+
+    restrictions = {}
+    injective = True
+    for perm in group.sorted_elements():
+        if any(perm[i] not in vertex_set for i in vertex_idx):
+            injective = False
+            counterexample = f"homeomorphism moves a vertex off V: {group.cycle_string(perm)}"
+            break
+        restricted = restrictions_of(perm)
+        if restricted in restrictions:
+            injective = False
+            counterexample = "two homeomorphisms share a restriction"
+            break
+        restrictions[restricted] = perm
+
+    image_is_aut = injective and set(restrictions) == set(auto.elements)
+    is_isomorphism = injective and image_is_aut
+    if is_isomorphism and group.order <= pairwise_limit:
+        elems = group.sorted_elements()
+        for p in elems:
+            for q in elems:
+                composite = tuple(p[q[i]] for i in range(space.size))
+                rp, rq = restrictions_of(p), restrictions_of(q)
+                if restrictions_of(composite) != tuple(rp[rq[i]] for i in range(len(rq))):
+                    is_isomorphism = False
+
+    data = cb_data(space)
+    edge_points = frozenset(edge_name(u, v) for u, v in g.sorted_edges())
+    closures_match = all(
+        space.closure([v]) == {v} | {edge_name(u, w) for u, w in g.sorted_edges() if v in (u, w)}
+        for v in g.vertices
+    )
+    isolated = frozenset(p for p in space.points if space.min_open[p] == frozenset([p]))
+    return Prop24Report(
+        graph_vertices=g.size,
+        graph_edges=len(g.edges),
+        homeo_order=group.order,
+        aut_order=auto.order,
+        restriction_injective=injective,
+        restriction_image_is_aut=image_is_aut,
+        restriction_is_isomorphism=is_isomorphism,
+        derived_is_edges=len(data.levels) > 1 and data.levels[1] == edge_points,
+        second_derived_empty=len(data.levels) > 2 and data.levels[2] == frozenset(),
+        closures_match=closures_match,
+        isolated_are_vertices=isolated == frozenset(g.vertices),
+        counterexample=counterexample,
+    )
+
+
+def _fields(report):
+    return dataclasses.replace(report, counterexample=None)
+
+
+def test_verify_prop24_matches_reference():
+    rng = random.Random(24)
+    cases = [g for n in range(2, 6) for g in enumerate_graphs(n, up_to_iso=False)]
+    cases += [complete(6), complete(7)]
+    cases += [random_graph(rng.randint(6, 8), rng) for _ in range(30)]
+    for g in cases:
+        assert _fields(verify_prop24(g)) == _fields(_verify_prop24_reference(g)), g
+    want = _verify_prop24_reference(petersen(), max_vertices=10)
+    assert _fields(verify_prop24(petersen(), max_vertices=10)) == _fields(want)
+
+
+def _swap(n, i, j):
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    return tuple(perm)
+
+
+def _trivial(space):
+    return PermutationGroup.trivial(space.points)
+
+
+def _symmetric(space):
+    return PermutationGroup.symmetric(space.points)
+
+
+def _vertex_swap(space):
+    # on path(3), of aut's order, but (1 2) is no automorphism
+    return PermutationGroup.from_generators(space.points, [_swap(space.size, 0, 1)])
+
+
+def _with_edge_swap(space):
+    true = homeo_group(space)
+    n = space.size
+    return PermutationGroup.from_generators(space.points, [*true.generators, _swap(n, n - 2, n - 1)])
+
+
+@pytest.mark.parametrize(
+    "wrong_group, flag",
+    [
+        (_trivial, "restriction_image_is_aut"),
+        (_vertex_swap, "restriction_image_is_aut"),
+        (_symmetric, "restriction_injective"),
+        (_with_edge_swap, "restriction_injective"),
+    ],
+)
+def test_verify_prop24_rejects_wrong_groups(monkeypatch, wrong_group, flag):
+    monkeypatch.setattr(graphs, "homeo_group", lambda space, max_points: wrong_group(space))
+    for g in (path(3), cycle(4), complete(4)):
+        report = verify_prop24(g)
+        assert not report.ok and not getattr(report, flag), g
+        assert report.counterexample, g
+
+
+def test_verify_prop24_lists_no_homeomorphisms(monkeypatch):
+    def unlisted(space, max_points):
+        group = homeo_group(space, max_points)
+
+        def refuse():
+            raise AssertionError("listed the homeomorphism group's elements")
+
+        group._lex_elements = refuse
+        return group
+
+    monkeypatch.setattr(graphs, "homeo_group", unlisted)
+    report = verify_prop24(complete(7))
+    assert report.ok and report.homeo_order == 5040
+
+
+# Random text, edge lists (most of them graphs the --verify path checks),
+# and long or deeply repeated inputs.
+_names = st.sampled_from("abcdefghij")
+_graph_text = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet="ab -#\nvertex", max_size=400),
+    st.lists(st.tuples(_names, st.sampled_from(["", "-- "]), _names), max_size=25).map(
+        lambda edges: "".join(f"{u} {sep}{v}\n" for u, sep, v in edges)
+    ),
+    st.builds(
+        lambda line, times: line * times,
+        st.sampled_from(["a b\n", "a -- b\n", "vertex a\n", "(", "-- ", "#", "x" * 50]),
+        st.integers(1, 3000),
+    ),
+    st.integers(1, 3000).map(lambda k: "".join(f"vertex v{i}\n" for i in range(k)) + "v0 v1\n"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_text)
+def test_graph_parse_fuzz(text):
+    try:
+        Graph.parse(text)
+    except ScatterkitError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_text)
+def test_encode_graph_cli_fuzz(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["encode-graph", str(path), "--verify"])
+    assert code in (0, 1, 2)
+
+
 def test_isomorphic_graphs_give_homeomorphic_encodings():
     rng = random.Random(11)
     for _ in range(20):
@@ -190,7 +372,7 @@ def test_enumerate_graphs_counts():
 
 
 def test_enumerate_graphs_bound():
-    # n=7 would relabel 2^21 graphs by 5040 vertex orders each
+    # n=7 would mark all 2^21 edge masks seen, each through 5040 vertex orders
     with pytest.raises(BoundExceededError, match="limited to 6 vertices"):
         next(enumerate_graphs(7))
 
