@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import factorial
+from types import MappingProxyType
 
 from ._kernels import _bits, isomorphisms, pure, refine_colors
 from .errors import (
@@ -63,7 +64,11 @@ class FiniteSpace:
     """A finite topological space given by its minimal open sets.
 
     ``points`` fixes the reporting order; ``min_open`` maps each point
-    name to the member set of its minimal open neighbourhood.
+    name to the member set of its minimal open neighbourhood.  A space is
+    fixed once built, so ``cb_data``, ``similarity_partition``,
+    ``homeo_group`` and the direct check of ``is_fully_transitive`` each
+    derive their result once per space object, keep it in ``_derived`` and
+    hand the same object to every later call.
     """
 
     def __init__(self, points, min_open):
@@ -96,6 +101,7 @@ class FiniteSpace:
         self.min_open = opens
         self._index = index
         self._masks = tuple(self._mask(opens[name]) for name in points)
+        self._derived = {}
 
     def _mask(self, names) -> int:
         mask = 0
@@ -188,7 +194,7 @@ class CBData:
     """Derived sequence, per-point ranks and the space rank."""
 
     levels: tuple[frozenset[str], ...]
-    rank_of: dict[str, int]
+    rank_of: MappingProxyType[str, int]
     rank: int
     scattered: bool
 
@@ -199,6 +205,13 @@ def cb_data(space: FiniteSpace) -> CBData:
     A point of a subset A is in A's derived set iff its minimal open set
     meets A in more than the point itself.
     """
+    derived = space._derived
+    if "cb_data" not in derived:
+        derived["cb_data"] = _cb_data(space)
+    return derived["cb_data"]
+
+
+def _cb_data(space):
     masks, n = space._masks, space.size
     levels = []
     current = (1 << n) - 1
@@ -221,7 +234,7 @@ def cb_data(space: FiniteSpace) -> CBData:
         rank_of[name] = r
     return CBData(
         levels=tuple(frozenset(space._names(m)) for m in levels),
-        rank_of=rank_of,
+        rank_of=MappingProxyType(rank_of),
         rank=rank,
         scattered=(levels[-1] == 0),
     )
@@ -258,6 +271,8 @@ def _similarity_iso(space, ix, iy, limit=1):
     ux, uy = space._masks[ix], space._masks[iy]
     if ux.bit_count() != uy.bit_count():
         return []
+    if ux == 1 << ix and uy == 1 << iy:
+        return [{space.points[ix]: space.points[iy]}]
     a_idx = tuple(_bits(ux))
     b_idx = tuple(_bits(uy))
     sub_a = _submasks(space, a_idx)
@@ -319,7 +334,7 @@ class SimilarityPartition:
     """Similarity classes in point order, with the shared rank per block."""
 
     blocks: tuple[tuple[str, ...], ...]
-    rank_of: dict[str, int]
+    rank_of: MappingProxyType[str, int]
 
     def block_of(self, name: str) -> tuple[str, ...]:
         for block in self.blocks:
@@ -332,6 +347,13 @@ class SimilarityPartition:
 
 
 def similarity_partition(space: FiniteSpace) -> SimilarityPartition:
+    derived = space._derived
+    if "similarity_partition" not in derived:
+        derived["similarity_partition"] = _similarity_partition(space)
+    return derived["similarity_partition"]
+
+
+def _similarity_partition(space):
     data = cb_data(space)
     blocks: list[list[str]] = []
     for name in space.points:
@@ -348,7 +370,7 @@ def similarity_partition(space: FiniteSpace) -> SimilarityPartition:
             raise InternalCheckError(f"similar points with distinct ranks in block {block}")
     return SimilarityPartition(
         blocks=tuple(tuple(b) for b in blocks),
-        rank_of=dict(data.rank_of),
+        rank_of=data.rank_of,
     )
 
 
@@ -411,6 +433,14 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
         raise BoundExceededError(
             f"space has {n} points, above the bound of {max_points}; raise max_points to force"
         )
+    derived = space._derived
+    if "homeo_group" not in derived:
+        derived["homeo_group"] = _homeo_group(space)
+    return derived["homeo_group"]
+
+
+def _homeo_group(space):
+    n = space.size
     if n == 0:
         return PermutationGroup((), [()])
     ranks = cb_data(space).rank_of
@@ -502,7 +532,10 @@ def is_fully_transitive(
         expected *= factorial(len(block))
     order_ok = group.order == expected
 
-    failure = _direct_failure(space, part)
+    derived = space._derived
+    if "direct_failure" not in derived:
+        derived["direct_failure"] = _direct_failure(space, part)
+    failure = derived["direct_failure"]
     direct_ok = failure is None
 
     if direct_ok != order_ok:

@@ -1,12 +1,19 @@
+import io
 import itertools
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scatterkit import cli, finite
 from scatterkit.errors import (
     BoundExceededError,
     DomainError,
+    InternalCheckError,
+    ScatterkitError,
     UnknownPointError,
     ValidationError,
 )
@@ -81,6 +88,50 @@ def test_parse_round_trip():
     assert FiniteSpace.parse(space.to_text()) == space
 
 
+def test_parse_round_trip_on_every_small_space():
+    for n in range(0, 5):
+        for space in enumerate_preorder_spaces(n):
+            assert FiniteSpace.parse(space.to_text()) == space
+
+
+# Random text, random tables over a few names (most of them invalid, some
+# real spaces the --group path handles), and long or repeated inputs.
+_point = st.sampled_from("abcde")
+_space_text = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet="ab :#\n", max_size=400),
+    st.lists(st.tuples(_point, st.lists(_point, max_size=5)), max_size=8).map(
+        lambda rows: "".join(f"{name}: {' '.join(members)}\n" for name, members in rows)
+    ),
+    st.builds(
+        lambda line, times: line * times,
+        st.sampled_from(["a: a\n", "a: a b\n", ":", "a:", "#", "x" * 50, "\n"]),
+        st.integers(1, 3000),
+    ),
+    # discrete spaces above the 12-point bound
+    st.integers(13, 2000).map(lambda k: "".join(f"p{i}: p{i}\n" for i in range(k))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_space_text)
+def test_finite_space_parse_fuzz(text):
+    try:
+        FiniteSpace.parse(text)
+    except ScatterkitError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_space_text)
+def test_fspace_cli_fuzz(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "space.txt"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(["fspace", str(path), "--group", "--normal", "--full-transitivity"])
+    assert code in (0, 1, 2)
+
+
 # --- separation and CB data ---------------------------------------------------
 
 def test_separation_examples():
@@ -101,6 +152,78 @@ def test_cb_data_examples():
     assert cb_data(discrete_space(3)).rank == 1
     chain = chain_space(3)
     assert [cb_data(chain).rank_of[p] for p in chain.points] == [0, 1, 2]
+
+
+def test_rank_of_is_read_only():
+    space = chain_space(3)
+    for data in (cb_data(space), similarity_partition(space)):
+        with pytest.raises(TypeError):
+            data.rank_of["p1"] = 5
+    ranks = {"p1": 0, "p2": 1, "p3": 2}
+    assert cb_data(space).rank_of == similarity_partition(space).rank_of == ranks
+
+
+# --- derived data kept on the space -------------------------------------------
+
+def test_derived_data_is_computed_once_per_space():
+    space, twin = two_fans(), two_fans()
+    for derive in (cb_data, similarity_partition, homeo_group):
+        first = derive(space)
+        assert derive(space) is first
+        # an equal but distinct space derives its own, equal result
+        assert derive(twin) is not first
+        assert derive(twin) == first
+    report = is_fully_transitive(space)
+    again = is_fully_transitive(space)
+    assert again.group is report.group and again.partition is report.partition
+    assert again == report
+
+
+def test_bounds_are_checked_before_the_stored_result():
+    space = discrete_space(5)
+    assert homeo_group(space).order == factorial(5)
+    assert is_fully_transitive(space).holds
+    with pytest.raises(BoundExceededError):
+        homeo_group(space, max_points=4)
+    with pytest.raises(BoundExceededError):
+        is_fully_transitive(space, max_points=4)
+    with pytest.raises(BoundExceededError):
+        is_fully_transitive(space, max_points=4, group=homeo_group(space))
+
+
+def test_order_formula_reads_the_group_argument():
+    space = discrete_space(3)
+    assert is_fully_transitive(space).holds
+    with pytest.raises(InternalCheckError, match="disagree"):
+        is_fully_transitive(space, group=PermutationGroup.trivial(space.points))
+
+
+def test_each_request_derives_the_space_data_once(tmp_path, monkeypatch):
+    calls = {}
+
+    def counted(name):
+        worker = getattr(finite, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return worker(*args)
+
+        monkeypatch.setattr(finite, name, wrapper)
+
+    workers = ("_cb_data", "_similarity_partition", "_stabiliser_chain", "_direct_failure")
+    for name in workers:
+        counted(name)
+    path = tmp_path / "fan.txt"
+    path.write_text(double_fan_space().to_text(), encoding="utf-8")
+    requests = (
+        ["fspace", str(path), "--group", "--normal", "--full-transitivity"],
+        ["flows", "--fspace", str(path)],
+    )
+    for argv in requests:
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert calls == dict.fromkeys(workers, 1), argv
 
 
 def test_scattered_iff_t0_small():
