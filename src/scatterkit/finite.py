@@ -267,23 +267,6 @@ def _submasks(space: FiniteSpace, indices: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _similarity_iso(space, ix, iy, limit=1):
-    ux, uy = space._masks[ix], space._masks[iy]
-    if ux.bit_count() != uy.bit_count():
-        return []
-    if ux == 1 << ix and uy == 1 << iy:
-        return [{space.points[ix]: space.points[iy]}]
-    a_idx = tuple(_bits(ux))
-    b_idx = tuple(_bits(uy))
-    sub_a = _submasks(space, a_idx)
-    sub_b = _submasks(space, b_idx)
-    pins = [(a_idx.index(ix), b_idx.index(iy))]
-    return [
-        {space.points[a_idx[l]]: space.points[b_idx[m]] for l, m in enumerate(iso)}
-        for iso in isomorphisms(sub_a, sub_b, pins=pins, limit=limit)
-    ]
-
-
 def similarity_witness(space: FiniteSpace, x: str, y: str) -> dict[str, str] | None:
     """An isomorphism of minimal open neighbourhoods sending x to y, if any.
 
@@ -293,8 +276,18 @@ def similarity_witness(space: FiniteSpace, x: str, y: str) -> dict[str, str] | N
     cross-check over all open pairs.
     """
     ix, iy = space.index(x), space.index(y)
-    found = _similarity_iso(space, ix, iy, limit=1)
-    return found[0] if found else None
+    ux, uy = space._masks[ix], space._masks[iy]
+    if ux.bit_count() != uy.bit_count():
+        return None
+    if ux == 1 << ix and uy == 1 << iy:
+        return {x: y}
+    a_idx = tuple(_bits(ux))
+    b_idx = tuple(_bits(uy))
+    pins = [(a_idx.index(ix), b_idx.index(iy))]
+    found = isomorphisms(_submasks(space, a_idx), _submasks(space, b_idx), pins=pins, limit=1)
+    if not found:
+        return None
+    return {space.points[a_idx[l]]: space.points[b_idx[m]] for l, m in enumerate(found[0])}
 
 
 def similar(space: FiniteSpace, x: str, y: str, cross_check: bool = False) -> bool:
@@ -441,8 +434,6 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
 
 def _homeo_group(space):
     n = space.size
-    if n == 0:
-        return PermutationGroup((), [()])
     ranks = cb_data(space).rank_of
     closure_sizes = [0] * n
     for i in range(n):
@@ -752,9 +743,9 @@ def normal_subgroups(
     Each class-generated subgroup is built once, from the few class
     members needed to generate it, and each join grows the elements of
     the current subgroup by the class subgroup's generators only, so no
-    closure ever treats every element as a generator.  The returned groups
-    are built from their element sets, so their reported generators do not
-    depend on how the lattice was searched.
+    closure ever treats every element as a generator.  A group's reported
+    generators depend only on the group, not on how the lattice was
+    searched.
     """
     _check_order(group, max_order)
     n = len(group.ground)

@@ -99,10 +99,7 @@ class FlowReport:
         return self.simply_transitive and self.minimal
 
 
-def product_flow_check(
-    space: FiniteSpace,
-    max_flow: int = DEFAULT_MAX_FLOW_SIZE,
-) -> FlowReport:
+def product_flow_check(space: FiniteSpace) -> FlowReport:
     """Let the homeomorphism group act factor-wise on the product of the
     LO spaces of the similarity classes and verify the action is simply
     transitive and every orbit is the whole product.
@@ -122,8 +119,10 @@ def product_flow_check(
     flow_size = 1
     for block in blocks:
         flow_size *= factorial(len(block))
-    if flow_size > max_flow:
-        raise BoundExceededError(f"flow has {flow_size} points, above the bound of {max_flow}")
+    if flow_size > DEFAULT_MAX_FLOW_SIZE:
+        raise BoundExceededError(
+            f"flow has {flow_size} points, above the bound of {DEFAULT_MAX_FLOW_SIZE}"
+        )
 
     block_orders = [list(itertools.permutations(block)) for block in blocks]
     flow = list(itertools.product(*block_orders))

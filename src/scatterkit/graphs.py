@@ -35,6 +35,8 @@ __all__ = [
 
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_POINTS_FOR_ENCODING = 40
+#: verify_prop24 checks composition element by element on groups up to this order.
+PAIRWISE_LIMIT = 200
 
 
 class Graph:
@@ -218,7 +220,6 @@ class Prop24Report:
 def verify_prop24(
     g: Graph,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    pairwise_limit: int = 200,
 ) -> Prop24Report:
     """Check the encoding: the restriction map is a group isomorphism onto
     the automorphism group, the derived sets are E then empty, vertex
@@ -230,7 +231,7 @@ def verify_prop24(
     generate the image r(G), r is injective iff |r(G)| = |G|, and r(G) is
     compared with the automorphism group by equal order plus mutual
     generator membership.  Elements are listed only for the composition
-    check on groups of at most ``pairwise_limit`` elements.
+    check on groups of at most ``PAIRWISE_LIMIT`` elements.
     """
     space = encode(g)
     group = homeo_group(space, max_points=DEFAULT_MAX_POINTS_FOR_ENCODING)
@@ -274,7 +275,7 @@ def verify_prop24(
     # r(s p) = r(s) r(p) for each generator s and element p gives, by
     # induction on word length, r(q p) = r(q) r(p) for every pair.
     is_isomorphism = injective and image_is_aut
-    if is_isomorphism and group.order <= pairwise_limit:
+    if is_isomorphism and group.order <= PAIRWISE_LIMIT:
         restricted_of = {p: restrict(p) for p in group.sorted_elements()}
         is_isomorphism = all(
             restrict(_compose(s, p)) == _compose(rs, rp)

@@ -1,4 +1,4 @@
-"""Permutation groups held as element sets or as stabiliser chains.
+"""Permutation groups held as stabiliser chains.
 
 A permutation is a tuple of images over the ground order.  A stabiliser
 chain on the base 0, 1, ..., n-1 is a list of (b, orbit) pairs, one for
@@ -25,41 +25,42 @@ MAX_ELEMENTS = 1_000_000
 
 
 class PermutationGroup:
-    """A concrete permutation group on named points.
+    """A concrete permutation group on named points, held as its
+    stabiliser chain on the base of the point order.
 
-    A group is built either from its element set or from a stabiliser
-    chain, keeps that form, and derives the other on first use; the
-    generators are computed only when first read.  Order, membership,
-    equality and hashing never list the elements of a chain-built group.
+    Order, membership, equality, hashing and normality never list the
+    elements.  The generators are the lex-first ones, computed when first
+    read, so they depend only on the group.  The elements are listed from
+    the chain when first asked for and kept; a group built from its
+    element set keeps that set as the same cache.
     """
 
     def __init__(self, ground, elements):
         self.ground = tuple(ground)
         elements = frozenset(tuple(e) for e in elements)
-        if tuple(range(len(self.ground))) not in elements:
+        if self.identity not in elements:
             raise ValueError("a permutation group must contain the identity")
+        self._chain = _chain_from_elements(len(self.ground), elements)
         self._elements = elements
-        self._sorted = self._chain = self._generators = None
+        self._sorted = self._generators = None
 
     @classmethod
-    def _from_chain(cls, ground, chain, generators=None) -> PermutationGroup:
+    def _from_chain(cls, ground, chain) -> PermutationGroup:
         group = cls.__new__(cls)
         group.ground = tuple(ground)
-        group._elements = group._sorted = None
         group._chain = chain
-        group._generators = generators
+        group._elements = group._sorted = group._generators = None
         return group
 
     @classmethod
     def from_generators(cls, ground, generators) -> PermutationGroup:
         ground = tuple(ground)
         gens = tuple(tuple(g) for g in generators)
-        return cls._from_chain(ground, _schreier_sims(len(ground), gens), gens)
+        return cls._from_chain(ground, _schreier_sims(len(ground), gens))
 
     @classmethod
     def symmetric(cls, ground) -> PermutationGroup:
-        """Generated by the adjacent transpositions, last first: the
-        generators the lex-first rule would choose."""
+        """Generated by the adjacent transpositions."""
         ground = tuple(ground)
         n = len(ground)
         swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in reversed(range(n - 1))]
@@ -67,13 +68,10 @@ class PermutationGroup:
 
     @classmethod
     def trivial(cls, ground) -> PermutationGroup:
-        ground = tuple(ground)
-        return cls(ground, [tuple(range(len(ground)))])
+        return cls._from_chain(ground, [])
 
     @property
     def order(self) -> int:
-        if self._elements is not None:
-            return len(self._elements)
         return prod(len(orbit) for _, orbit in self._chain)
 
     @property
@@ -83,8 +81,6 @@ class PermutationGroup:
         return self._elements
 
     def sorted_elements(self) -> list[tuple[int, ...]]:
-        if self._sorted is None and self._elements is not None:
-            return sorted(self._elements)
         return list(self._lex_elements())
 
     def _lex_elements(self):
@@ -109,8 +105,6 @@ class PermutationGroup:
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         if self._generators is None:
-            if self._chain is None:
-                self._chain = _chain_from_elements(len(self.ground), self._elements)
             self._generators = tuple(_lex_generators(self._chain, self.identity))
         return self._generators
 
@@ -119,10 +113,7 @@ class PermutationGroup:
         return tuple(range(len(self.ground)))
 
     def __contains__(self, perm) -> bool:
-        perm = tuple(perm)
-        if self._elements is not None:
-            return perm in self._elements
-        return _sift(self._chain, perm) == self.identity
+        return _sift(self._chain, tuple(perm)) == self.identity
 
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):
@@ -176,17 +167,18 @@ class PermutationGroup:
         ]
         return PermutationGroup._from_chain(self.ground, _schreier_sims(n, tail))
 
-    def subgroup(self, elements) -> PermutationGroup:
-        return PermutationGroup(self.ground, elements)
-
     def is_normal(self, sub: PermutationGroup) -> bool:
+        """Whether each generator g of self normalises sub.  Conjugation by
+        g is an automorphism, so it is enough that g h g^-1 sifts through
+        sub's chain for each generator h of sub (Holt, Eick & O'Brien,
+        Handbook of Computational Group Theory, 2005, 3.3); no element is
+        listed."""
         if sub.ground != self.ground:
             raise ValueError("subgroup on a different ground set")
-        sub_set = sub.elements
         for g in self.generators:
             g_inv = _inverse(g)
-            for h in sub_set:
-                if _compose(g, _compose(h, g_inv)) not in sub_set:
+            for h in sub.generators:
+                if _compose(g, _compose(h, g_inv)) not in sub:
                     return False
         return True
 

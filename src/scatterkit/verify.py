@@ -82,12 +82,15 @@ def _random_infinite(rng: random.Random) -> Ordinal:
 # criterion 1: ordinal arithmetic laws
 
 
-def suite_ordinal_laws(seed: int = DEFAULT_SEED, rounds: int = 10_000) -> SuiteResult:
+ORDINAL_ROUNDS = 10_000
+
+
+def suite_ordinal_laws(seed: int = DEFAULT_SEED) -> SuiteResult:
     result = SuiteResult("ordinal-laws", True)
     rng = random.Random(seed)
     assoc_ok = absorb_ok = division_ok = True
     absorb_hits = 0
-    for _ in range(rounds):
+    for _ in range(ORDINAL_ROUNDS):
         a, b, c = (random_ordinal(rng) for _ in range(3))
         if add(add(a, b), c) != add(a, add(b, c)):
             assoc_ok = False
@@ -107,12 +110,12 @@ def suite_ordinal_laws(seed: int = DEFAULT_SEED, rounds: int = 10_000) -> SuiteR
         if add(mul_power(beta, q), r) != c or not r < omega_power(beta):
             division_ok = False
             break
-    result.add(assoc_ok, f"associativity and neutrality of + over {rounds} seeded triples")
+    result.add(assoc_ok, f"associativity and neutrality of + over {ORDINAL_ROUNDS} seeded triples")
     result.add(
-        absorb_ok and absorb_hits > rounds // 20,
+        absorb_ok and absorb_hits > ORDINAL_ROUNDS // 20,
         f"left absorption b + w^e = w^e on {absorb_hits} applicable pairs",
     )
-    result.add(division_ok, f"division round-trip gamma = w^beta*q + r with r < w^beta, {rounds} draws")
+    result.add(division_ok, f"division round-trip gamma = w^beta*q + r with r < w^beta, {ORDINAL_ROUNDS} draws")
     return result
 
 
@@ -247,13 +250,10 @@ def suite_cb_consistency(seed: int = DEFAULT_SEED) -> SuiteResult:
 
 
 EXPECTED_GRAPH_COUNTS = {2: 1, 3: 3, 4: 10, 5: 33}
+SIX_VERTEX_ROUNDS = 100
 
 
-def suite_prop24(
-    seed: int = DEFAULT_SEED,
-    six_vertex_rounds: int = 100,
-    max_points: int | None = None,
-) -> SuiteResult:
+def suite_prop24(seed: int = DEFAULT_SEED, max_points: int | None = None) -> SuiteResult:
     result = SuiteResult("prop24", True)
     rng = random.Random(seed)
     for n in range(2, 6):
@@ -275,13 +275,13 @@ def suite_prop24(
         result.add(True, f"skipped 6-vertex graphs (encoding exceeds max points {max_points})")
         return result
     bad = None
-    for _ in range(six_vertex_rounds):
+    for _ in range(SIX_VERTEX_ROUNDS):
         g = gr.random_graph(6, rng)
         report = gr.verify_prop24(g)
         if not report.ok:
             bad = report
             break
-    result.add(bad is None, f"encoding checks pass on {six_vertex_rounds} random 6-vertex graphs"
+    result.add(bad is None, f"encoding checks pass on {SIX_VERTEX_ROUNDS} random 6-vertex graphs"
                + (f" (failed: {bad.counterexample})" if bad else ""))
     return result
 

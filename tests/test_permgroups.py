@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import random
 from contextlib import redirect_stdout
 from math import factorial
 
@@ -17,14 +18,22 @@ from scatterkit.finite import (
     FiniteSpace,
     cb_data,
     enumerate_preorder_spaces,
+    fixator,
     homeo_group,
     is_fully_transitive,
     normal_subgroups,
     verify_remark19,
 )
 from scatterkit.graphs import Graph, aut, encode
-from scatterkit.permgroups import PermutationGroup, _grow_closure, _schreier_sims, _sift
-from scatterkit.verify import discrete_space, double_fan_space, star_space
+from scatterkit.permgroups import (
+    PermutationGroup,
+    _compose,
+    _grow_closure,
+    _inverse,
+    _schreier_sims,
+    _sift,
+)
+from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
 
 
 def run_cli(*argv):
@@ -76,6 +85,17 @@ def _reduce_generators(n, elements):
     return gens
 
 
+def _is_normal_reference(group, sub):
+    """Normality by conjugating every element of sub by each generator."""
+    sub_set = sub.elements
+    for g in group.generators:
+        g_inv = _inverse(g)
+        for h in sub_set:
+            if _compose(g, _compose(h, g_inv)) not in sub_set:
+                return False
+    return True
+
+
 def _assert_matches(group, elements):
     n = len(group.ground)
     reference = sorted(elements)
@@ -123,6 +143,14 @@ def named_spaces():
     return spaces + [encode(g) for g in GRAPHS]
 
 
+def remark19_spaces():
+    """The spaces of the remark19 verify suite."""
+    spaces = [discrete_space(1), chain_space(2), chain_space(3)]
+    spaces += [discrete_space(n) for n in (3, 4, 5)]
+    spaces += [star_space(leaves, tiers) for tiers in (1, 2) for leaves in (3, 4, 5)]
+    return spaces + [double_fan_space()]
+
+
 # --- chain-built groups against the references ----------------------------------------
 
 
@@ -150,6 +178,28 @@ def test_element_built_groups_match_reference():
         group = PermutationGroup(space.points, elements)
         _assert_matches(group, elements)
         assert group == homeo_group(space, max_points=40)
+
+
+def test_group_forms_agree_on_named_spaces():
+    """A group's order, generators, listing, hash and membership depend only
+    on the group, not on the form it was built from."""
+    rng = random.Random(0)
+    for space in named_spaces():
+        group = homeo_group(space, max_points=40)
+        if group.order > 720:
+            continue
+        elements = group.sorted_elements()
+        n = len(group.ground)
+        probes = elements + [tuple(rng.sample(range(n), n)) for _ in range(50)]
+        for other in (
+            PermutationGroup(space.points, elements),
+            PermutationGroup.from_generators(space.points, reversed(elements)),
+        ):
+            assert other.order == group.order
+            assert other.generators == group.generators
+            assert other.sorted_elements() == elements
+            assert hash(other) == hash(group)
+            assert [p in other for p in probes] == [p in group for p in probes]
 
 
 def test_equal_orders_do_not_make_groups_equal():
@@ -191,6 +241,7 @@ def test_schreier_sims_against_closure(case):
     closed = _close(n, gens)
     group = PermutationGroup.from_generators(range(n), gens)
     assert group.order == len(closed)
+    assert list(group.generators) == _reduce_generators(n, closed)
     chain = _schreier_sims(n, gens)
     identity = tuple(range(n))
     for g in closed:
@@ -199,6 +250,30 @@ def test_schreier_sims_against_closure(case):
         assert (p in group) == (p in closed)
     if len(closed) <= 720:
         _assert_matches(PermutationGroup._from_chain(range(n), chain), closed)
+
+
+# --- normality ----------------------------------------------------------------------
+
+
+def test_is_normal_against_reference_on_s4_subgroups():
+    """Every subgroup of S4 is generated by two elements."""
+    s4 = PermutationGroup.symmetric(range(4))
+    elements = s4.sorted_elements()
+    subgroups = {}
+    for a, b in itertools.combinations_with_replacement(elements, 2):
+        closed = frozenset(_close(4, [a, b]))
+        subgroups.setdefault(closed, PermutationGroup(range(4), closed))
+    assert len(subgroups) == 30
+    verdicts = [s4.is_normal(sub) for sub in subgroups.values()]
+    assert verdicts == [_is_normal_reference(s4, sub) for sub in subgroups.values()]
+    assert sorted(sub.order for sub, v in zip(subgroups.values(), verdicts) if v) == [1, 4, 12, 24]
+
+
+def test_is_normal_against_reference_on_remark19_candidates():
+    for space in remark19_spaces():
+        group = homeo_group(space)
+        for _, cand in verify_remark19(space).candidates:
+            assert group.is_normal(cand) == _is_normal_reference(group, cand)
 
 
 # --- cheap paths --------------------------------------------------------------------------
@@ -226,6 +301,12 @@ def test_large_groups_answer_without_listing_elements(no_listing):
     assert report.holds and report.group_order == factorial(12)
     with pytest.raises(BoundExceededError, match="above the cap of 1000000"):
         group.elements
+
+
+def test_is_normal_lists_no_elements(no_listing):
+    group = homeo_group(discrete_space(12))
+    assert not group.is_normal(fixator(group, ["p1"]))
+    assert group.is_normal(group)
 
 
 def test_remark19_refuses_before_listing_elements(no_listing):
