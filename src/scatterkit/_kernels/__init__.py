@@ -22,15 +22,6 @@ def backend_name() -> str:
     return "pure"
 
 
-def _signature_colors(masks, member_of, colors):
-    sigs = []
-    for i, mask in enumerate(masks):
-        inside = sorted(colors[j] for j in _bits(mask))
-        around = sorted(colors[j] for j in _bits(member_of[i]))
-        sigs.append((colors[i], tuple(inside), tuple(around)))
-    return sigs
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -38,43 +29,56 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def _transpose(n, masks):
-    member_of = [0] * n
-    for j, mask in enumerate(masks):
-        for i in _bits(mask):
-            member_of[i] |= 1 << j
-    return member_of
+def _index_lists(masks):
+    """Each point's members, and the points whose mask holds it, as index lists."""
+    inside = [list(_bits(mask)) for mask in masks]
+    around = [[] for _ in masks]
+    for j, members in enumerate(inside):
+        for i in members:
+            around[i].append(j)
+    return inside, around
+
+
+def _signatures(colors, inside, around):
+    get = colors.__getitem__
+    return [
+        (c, tuple(sorted(map(get, ins))), tuple(sorted(map(get, aro))))
+        for c, ins, aro in zip(colors, inside, around)
+    ]
 
 
 def refine_colors(masks_a, masks_b, colors_a=None, colors_b=None):
     """Jointly refine point colours on both structures to a stable partition.
 
     Returns (colors_a, colors_b) or None when the colour multisets differ,
-    in which case no isomorphism exists.  When both sides are the same
-    masks with the same colours (automorphisms), each round's signatures
-    are computed once.
+    in which case no isomorphism exists.  A point's signature holds its own
+    colour, so each round refines the one before; the first round that
+    adds no cell, counted over both sides together, is stable and the
+    loop stops there.  New colours are numbered in order of first
+    appearance, side a before side b, so only the cells carry meaning.
+    When both sides are the same masks with the same colours
+    (automorphisms), each round's signatures are computed once.
     """
-    na, nb = len(masks_a), len(masks_b)
-    if colors_a is None:
-        colors_a = [0] * na
-    if colors_b is None:
-        colors_b = [0] * nb
-    colors_a, colors_b = list(colors_a), list(colors_b)
+    colors_a = [0] * len(masks_a) if colors_a is None else list(colors_a)
+    colors_b = [0] * len(masks_b) if colors_b is None else list(colors_b)
     same = masks_a is masks_b and colors_a == colors_b
-    member_a = _transpose(na, masks_a)
-    member_b = member_a if same else _transpose(nb, masks_b)
-    for _ in range(max(na, nb) + 1):
-        sig_a = _signature_colors(masks_a, member_a, colors_a)
-        sig_b = sig_a if same else _signature_colors(masks_b, member_b, colors_b)
-        table = {s: c for c, s in enumerate(sorted(set(sig_a) | set(sig_b)))}
-        new_a = [table[s] for s in sig_a]
-        new_b = new_a if same else [table[s] for s in sig_b]
-        if sorted(new_a) != sorted(new_b):
+    inside_a, around_a = _index_lists(masks_a)
+    inside_b, around_b = (inside_a, around_a) if same else _index_lists(masks_b)
+    cells = len(set(colors_a).union(colors_b))
+    while True:
+        sig_a = _signatures(colors_a, inside_a, around_a)
+        sig_b = sig_a if same else _signatures(colors_b, inside_b, around_b)
+        table = {}
+        for s in sig_a if same else sig_a + sig_b:
+            if s not in table:
+                table[s] = len(table)
+        colors_a = [table[s] for s in sig_a]
+        colors_b = colors_a if same else [table[s] for s in sig_b]
+        if not same and sorted(colors_a) != sorted(colors_b):
             return None
-        if new_a == colors_a and new_b == colors_b:
-            break
-        colors_a, colors_b = new_a, new_b
-    return colors_a, colors_b
+        if len(table) == cells:
+            return colors_a, colors_b
+        cells = len(table)
 
 
 def isomorphisms(masks_a, masks_b, colors_a=None, colors_b=None, pins=(), limit=0):

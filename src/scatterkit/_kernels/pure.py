@@ -34,37 +34,51 @@ def search(masks_a, masks_b, cand, limit=0):
     full = (1 << n) - 1
     results = []
     assignment = [-1] * n
-
-    def recurse(cand, assigned_mask):
+    # Depth first on an explicit stack, so the depth is not bounded by
+    # Python's recursion limit: one frame [point, options left, cand,
+    # assigned mask] per assigned point, options taken in increasing
+    # order, which is the result order ``limit`` cuts by.
+    stack = []
+    cand, assigned_mask = list(cand), 0
+    while True:
         if assigned_mask == full:
             results.append(tuple(assignment))
-            return len(results) != limit
-        # most-constrained unassigned point first
-        best, best_count = -1, None
-        remaining = full & ~assigned_mask
-        m = remaining
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            count = cand[i].bit_count()
-            if count == 0:
-                return True
-            if best_count is None or count < best_count:
-                best, best_count = i, count
-                if count == 1:
+            if len(results) == limit:
+                return results
+        else:
+            # most-constrained unassigned point first
+            best, best_count = -1, None
+            m = full & ~assigned_mask
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                count = cand[i].bit_count()
+                if count == 0:
+                    best = -1
                     break
-            m &= m - 1
-        i = best
-        options = cand[i]
-        while options:
+                if best_count is None or count < best_count:
+                    best, best_count = i, count
+                    if count == 1:
+                        break
+                m &= m - 1
+            if best >= 0:
+                stack.append([best, cand[best], cand, assigned_mask])
+        # Take the next option of the deepest frame that survives forward
+        # checking; frames with none left are popped.
+        while stack:
+            frame = stack[-1]
+            i, options, cand, assigned_mask = frame
+            if not options:
+                stack.pop()
+                continue
             low = options & -options
             j = low.bit_length() - 1
-            options &= options - 1
+            frame[1] = options & (options - 1)
             new_cand = list(cand)
-            new_cand[i] = 1 << j
+            new_cand[i] = low
             ok = True
-            m = remaining & ~(1 << i)
-            not_j = ~(1 << j)
+            m = full & ~assigned_mask & ~(1 << i)
+            not_j = ~low
             while m:
                 lo = m & -m
                 k = lo.bit_length() - 1
@@ -84,14 +98,7 @@ def search(masks_a, masks_b, cand, limit=0):
                 new_cand[k] = c
             if ok:
                 assignment[i] = j
-                if not recurse(new_cand, assigned_mask | (1 << i)):
-                    return False
-                assignment[i] = -1
-        return True
-
-    recurse(list(cand), 0)
-    # recurse reaches itself through its closure; unbinding it breaks that
-    # cycle, so the search state and a discarded result list are freed now
-    # rather than at the next full collection.
-    del recurse
-    return results
+                cand, assigned_mask = new_cand, assigned_mask | (1 << i)
+                break
+        else:
+            return results

@@ -49,16 +49,23 @@ class _Emitter:
                 print(f"{key}: {value}")
 
 
-def _max_points(args) -> int | None:
+def _max_points(args, default: int | None) -> int | None:
+    """The ``--max-points`` bound, else ``SCATTERKIT_MAX_POINTS``, else
+    ``default``; a bound of 0 or less is a usage error."""
     if getattr(args, "max_points", None) is not None:
-        return args.max_points
-    env = os.environ.get(ENV_MAX_POINTS)
-    if env:
+        bound, source = args.max_points, "--max-points"
+    else:
+        env = os.environ.get(ENV_MAX_POINTS)
+        if not env:
+            return default
         try:
-            return int(env)
+            bound = int(env)
         except ValueError:
             raise ParseError(f"{ENV_MAX_POINTS} must be an integer, got {env!r}") from None
-    return None
+        source = ENV_MAX_POINTS
+    if bound <= 0:
+        raise ParseError(f"{source} must be a positive integer, got {bound}")
+    return bound
 
 
 def _read(path: str) -> str:
@@ -153,7 +160,7 @@ def cmd_groups_iso(args, out: _Emitter) -> int:
 
 def cmd_fspace(args, out: _Emitter) -> int:
     space = fin.FiniteSpace.parse(_read(args.file))
-    bound = _max_points(args) or fin.DEFAULT_MAX_POINTS
+    bound = _max_points(args, fin.DEFAULT_MAX_POINTS)
     out.put("points", space.size)
     sep = fin.separation_report(space)
     out.put("t0", "true" if sep.t0 else "false")
@@ -190,8 +197,12 @@ def cmd_fspace(args, out: _Emitter) -> int:
 
 def cmd_encode_graph(args, out: _Emitter) -> int:
     graph = gr.Graph.parse(_read(args.file))
-    bound = _max_points(args)
-    space = gr.encode(graph)
+    bound = _max_points(args, gr.DEFAULT_MAX_VERTICES)
+    if args.verify:
+        report = gr.verify_prop24(graph, max_vertices=bound)
+        space = report.space
+    else:
+        space = gr.encode(graph)
     out.put("vertices", graph.size)
     out.put("edges", len(graph.edges))
     out.put("points", space.size)
@@ -199,7 +210,6 @@ def cmd_encode_graph(args, out: _Emitter) -> int:
         members = " ".join(sorted(space.min_open[name], key=space.index))
         out.put(f"min_open.{name}", members)
     if args.verify:
-        report = gr.verify_prop24(graph, max_vertices=bound or gr.DEFAULT_MAX_VERTICES)
         out.put("homeo_order", report.homeo_order)
         out.put("aut_order", report.aut_order)
         out.put("restriction_is_isomorphism", "true" if report.restriction_is_isomorphism else "false")
@@ -218,7 +228,7 @@ def cmd_encode_graph(args, out: _Emitter) -> int:
 def cmd_flows(args, out: _Emitter) -> int:
     if (args.n is None) == (args.fspace is None):
         raise ParseError("flows needs exactly one of --n or --fspace")
-    bound = _max_points(args) or fl.DEFAULT_MAX_ENUMERATION
+    bound = _max_points(args, fl.DEFAULT_MAX_ENUMERATION)
     if args.n is not None:
         out.put("n", args.n)
         out.put("orders", len(fl.lo_space(args.n, max_n=bound)))
@@ -237,7 +247,7 @@ def cmd_flows(args, out: _Emitter) -> int:
 
 def cmd_verify(args, out: _Emitter) -> int:
     try:
-        results = vf.run_suite(args.suite, seed=args.seed, max_points=_max_points(args))
+        results = vf.run_suite(args.suite, seed=args.seed, max_points=_max_points(args, None))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     failed = 0

@@ -214,6 +214,7 @@ def cb_data(space: FiniteSpace) -> CBData:
 def _cb_data(space):
     masks, n = space._masks, space.size
     levels = []
+    ranks = [0] * n
     current = (1 << n) - 1
     while True:
         levels.append(current)
@@ -221,20 +222,17 @@ def _cb_data(space):
         for i in _bits(current):
             if masks[i] & current != 1 << i:
                 nxt |= 1 << i
+            else:
+                ranks[i] = len(levels) - 1  # i leaves the derived set here
         if nxt == current:
             break
         current = nxt
     rank = len(levels) - 1
-    rank_of = {}
-    for i, name in enumerate(space.points):
-        r = 0
-        for lvl, mask in enumerate(levels):
-            if (mask >> i) & 1:
-                r = lvl
-        rank_of[name] = r
+    for i in _bits(current):  # the perfect kernel, which never empties
+        ranks[i] = rank
     return CBData(
         levels=tuple(frozenset(space._names(m)) for m in levels),
-        rank_of=MappingProxyType(rank_of),
+        rank_of=MappingProxyType(dict(zip(space.points, ranks))),
         rank=rank,
         scattered=(levels[-1] == 0),
     )
@@ -432,7 +430,9 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
     return derived["homeo_group"]
 
 
-def _homeo_group(space):
+def _invariant_colors(space):
+    """Each point's homeomorphism invariants (CB rank, minimal open size,
+    closure size), numbered by their sorted order."""
     n = space.size
     ranks = cb_data(space).rank_of
     closure_sizes = [0] * n
@@ -444,7 +444,11 @@ def _homeo_group(space):
         for i in range(n)
     ]
     palette = {c: k for k, c in enumerate(sorted(set(colors)))}
-    colors = [palette[c] for c in colors]
+    return [palette[c] for c in colors]
+
+
+def _homeo_group(space):
+    colors = _invariant_colors(space)
     colors, _ = refine_colors(space._masks, space._masks, colors, colors)
     cells = {}
     for i, c in enumerate(colors):

@@ -11,7 +11,7 @@ this together with the rank and closure structure of the encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BoundExceededError,
@@ -144,7 +144,7 @@ def encode(g: Graph) -> FiniteSpace:
 
 
 def aut(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PermutationGroup:
-    """The automorphism group, by backtracking with adjacency pruning.
+    """The automorphism group, by backtracking with degree and adjacency pruning.
 
     Deliberately kept in this module and still independent of the
     homeomorphism search, so the two sides of the encoding check do not
@@ -159,21 +159,25 @@ def aut(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PermutationGroup:
 def _automorphisms(adj):
     """Every automorphism of the graph with adjacency masks ``adj``, as image
     tuples in the lexicographic order of ``itertools.permutations``."""
+    n = len(adj)
+    degree = [row.bit_count() for row in adj]
+    same_degree = [sum(1 << x for x in range(n) if degree[x] == d) for d in degree]
     kept = []
-    _extend(adj, [0] * len(adj), 0, 0, kept)
+    _extend(adj, same_degree, [0] * n, 0, 0, kept)
     return kept
 
 
-def _extend(adj, perm, i, placed, kept):
-    """Give vertex i each unused image in increasing order, then recurse.
+def _extend(adj, same_degree, perm, i, placed, kept):
+    """Give vertex i each unused image of its degree in increasing order,
+    then recurse.
 
     Target x is accepted for vertex i only if, for every j < i, i is
     adjacent to j exactly when x is adjacent to perm[j]: with ``placed`` the
     mask of images so far and ``wanted`` the images of i's earlier
-    neighbours, that is ``adj[x] & placed == wanted``.
+    neighbours, that is ``adj[x] & placed == wanted``.  An automorphism
+    keeps degrees, so skipping the other targets loses none.
     """
-    n = len(adj)
-    if i == n:
+    if i == len(adj):
         kept.append(tuple(perm))
         return
     row = adj[i]
@@ -181,15 +185,20 @@ def _extend(adj, perm, i, placed, kept):
     for j in range(i):
         if (row >> j) & 1:
             wanted |= 1 << perm[j]
-    for x in range(n):
-        if not (placed >> x) & 1 and adj[x] & placed == wanted:
+    free = same_degree[i] & ~placed
+    while free:
+        low = free & -free
+        free ^= low
+        x = low.bit_length() - 1
+        if adj[x] & placed == wanted:
             perm[i] = x
-            _extend(adj, perm, i + 1, placed | (1 << x), kept)
+            _extend(adj, same_degree, perm, i + 1, placed | low, kept)
 
 
 @dataclass(frozen=True)
 class Prop24Report:
-    """Result of checking the encoding against its four defining claims."""
+    """Result of checking the encoding against its four defining claims,
+    with the encoded space it checked."""
 
     graph_vertices: int
     graph_edges: int
@@ -202,6 +211,7 @@ class Prop24Report:
     second_derived_empty: bool
     closures_match: bool
     isolated_are_vertices: bool
+    space: FiniteSpace = field(compare=False)
     counterexample: str | None = None
 
     @property
@@ -315,6 +325,7 @@ def verify_prop24(
         second_derived_empty=second_empty,
         closures_match=closures_match,
         isolated_are_vertices=isolated_ok,
+        space=space,
         counterexample=counterexample,
     )
 

@@ -1,10 +1,11 @@
 import io
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from scatterkit import graphs
 from scatterkit.cli import build_parser, main
 from scatterkit.verify import chain_space
 
@@ -171,6 +172,73 @@ def test_encode_graph(tmp_path):
     assert code == 0
     assert "points: 5" in out
     assert "ok: true" in out
+
+
+P3_VERIFY = """\
+vertices=3
+edges=2
+points=5
+min_open.1=1
+min_open.2=2
+min_open.3=3
+min_open.1--2=1 2 1--2
+min_open.2--3=2 3 2--3
+homeo_order=2
+aut_order=2
+restriction_is_isomorphism=true
+derived_is_edges=true
+second_derived_empty=true
+closures_match=true
+isolated_are_vertices=true
+ok=true
+"""
+
+
+def test_encode_graph_verify_encodes_once(tmp_path, monkeypatch):
+    path = tmp_path / "p3.txt"
+    path.write_text("1 2\n2 3\n")
+    encoded = []
+
+    def counting_encode(g):
+        encoded.append(g)
+        return original(g)
+
+    original = graphs.encode
+    monkeypatch.setattr(graphs, "encode", counting_encode)
+    assert run_cli("--format", "structured", "encode-graph", str(path), "--verify") == (0, P3_VERIFY)
+    assert len(encoded) == 1
+    code, out = run_cli("--format", "structured", "encode-graph", str(path))
+    assert code == 0 and out == P3_VERIFY[: P3_VERIFY.index("homeo_order")]
+    assert len(encoded) == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("fspace", "{space}", "--group"),
+        ("encode-graph", "{graph}", "--verify"),
+        ("flows", "--n", "3"),
+        ("verify", "--suite", "cb-rank"),
+    ],
+)
+def test_bound_of_zero_or_less_is_a_usage_error(tmp_path, monkeypatch, command, bound):
+    space, graph = tmp_path / "two.txt", tmp_path / "p3.txt"
+    space.write_text("a: a\nb: b\n")
+    graph.write_text("1 2\n2 3\n")
+    argv = [arg.format(space=space, graph=graph) for arg in command]
+    assert run_cli(*argv)[0] == 0
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli(*argv, "--max-points", bound)[0] == 2
+    assert err.getvalue() == f"error: --max-points must be a positive integer, got {bound}\n"
+    monkeypatch.setenv("SCATTERKIT_MAX_POINTS", bound)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli(*argv)[0] == 2
+    assert err.getvalue() == f"error: SCATTERKIT_MAX_POINTS must be a positive integer, got {bound}\n"
+    # the flag still takes precedence over the environment
+    assert run_cli(*argv, "--max-points", "10")[0] == 0
 
 
 def test_flows_commands(tmp_path):

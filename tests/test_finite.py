@@ -154,6 +154,42 @@ def test_cb_data_examples():
     assert [cb_data(chain).rank_of[p] for p in chain.points] == [0, 1, 2]
 
 
+def _cb_data_reference(space):
+    """CB data with each point's rank found by scanning every level mask:
+    the last level holding the point."""
+    masks, n = space._masks, space.size
+    levels = []
+    current = (1 << n) - 1
+    while True:
+        levels.append(current)
+        nxt = 0
+        for i in range(n):
+            if (current >> i) & 1 and masks[i] & current != 1 << i:
+                nxt |= 1 << i
+        if nxt == current:
+            break
+        current = nxt
+    rank_of = {}
+    for i, name in enumerate(space.points):
+        rank_of[name] = max(lvl for lvl, mask in enumerate(levels) if (mask >> i) & 1)
+    return (
+        tuple(frozenset(space._names(m)) for m in levels),
+        rank_of,
+        len(levels) - 1,
+        levels[-1] == 0,
+    )
+
+
+def test_cb_data_matches_rank_scan_reference():
+    spaces = [space for n in range(5) for space in enumerate_preorder_spaces(n)]
+    spaces += [chain_space(30), discrete_space(5), double_fan_space()]
+    for space in spaces:
+        data = finite._cb_data(space)
+        assert (data.levels, dict(data.rank_of), data.rank, data.scattered) == _cb_data_reference(
+            space
+        ), space
+
+
 def test_rank_of_is_read_only():
     space = chain_space(3)
     for data in (cb_data(space), similarity_partition(space)):

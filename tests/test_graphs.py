@@ -230,6 +230,7 @@ def _verify_prop24_reference(g, max_vertices=DEFAULT_MAX_VERTICES, pairwise_limi
         second_derived_empty=len(data.levels) > 2 and data.levels[2] == frozenset(),
         closures_match=closures_match,
         isolated_are_vertices=isolated == frozenset(g.vertices),
+        space=space,
         counterexample=counterexample,
     )
 

@@ -1,6 +1,12 @@
 import random
+import sys
 
-from scatterkit._kernels import backend_name, isomorphisms, refine_colors
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scatterkit._kernels import _bits, backend_name, isomorphisms, pure, refine_colors
+from scatterkit.finite import _invariant_colors, enumerate_preorder_spaces
 
 
 def random_structure(rng, n, density=0.3):
@@ -111,3 +117,213 @@ def test_large_ground_sets_fall_back_to_pure():
     assert len(found) == 3
     for p in found:
         assert sorted(p) == list(range(70))
+
+
+# --- the search against its recursive reference ------------------------------------
+
+
+def _search_reference(masks_a, masks_b, cand, limit=0):
+    """The kernel search written recursively, one call per assigned point:
+    the reference the iterative ``pure.search`` must match, order included."""
+    n = len(masks_a)
+    member_b = [0] * n
+    for j, mask in enumerate(masks_b):
+        m = mask
+        while m:
+            low = m & -m
+            member_b[low.bit_length() - 1] |= 1 << j
+            m &= m - 1
+
+    full = (1 << n) - 1
+    results = []
+    assignment = [-1] * n
+
+    def recurse(cand, assigned_mask):
+        if assigned_mask == full:
+            results.append(tuple(assignment))
+            return len(results) != limit
+        best, best_count = -1, None
+        remaining = full & ~assigned_mask
+        m = remaining
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            count = cand[i].bit_count()
+            if count == 0:
+                return True
+            if best_count is None or count < best_count:
+                best, best_count = i, count
+                if count == 1:
+                    break
+            m &= m - 1
+        i = best
+        options = cand[i]
+        while options:
+            low = options & -options
+            j = low.bit_length() - 1
+            options &= options - 1
+            new_cand = list(cand)
+            new_cand[i] = 1 << j
+            ok = True
+            m = remaining & ~(1 << i)
+            not_j = ~(1 << j)
+            while m:
+                lo = m & -m
+                k = lo.bit_length() - 1
+                m &= m - 1
+                c = new_cand[k] & not_j
+                if (masks_a[i] >> k) & 1:
+                    c &= masks_b[j]
+                else:
+                    c &= ~masks_b[j]
+                if (masks_a[k] >> i) & 1:
+                    c &= member_b[j]
+                else:
+                    c &= ~member_b[j]
+                if not c:
+                    ok = False
+                    break
+                new_cand[k] = c
+            if ok:
+                assignment[i] = j
+                if not recurse(new_cand, assigned_mask | (1 << i)):
+                    return False
+                assignment[i] = -1
+        return True
+
+    recurse(list(cand), 0)
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2**32),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+            st.integers(1, 12),
+        )
+    )
+)
+def test_search_matches_recursive_reference(case):
+    n, seed, cand, limit = case
+    rng = random.Random(seed)
+    masks_a = random_structure(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    masks_b = relabelled(masks_a, perm) if rng.random() < 0.7 else random_structure(rng, n)
+    # Full candidate sets half the time, so long result lists are common too.
+    if rng.random() < 0.5:
+        cand = [(1 << n) - 1] * n
+    full = _search_reference(masks_a, masks_b, cand)
+    assert pure.search(masks_a, masks_b, cand) == full
+    assert pure.search(masks_a, masks_b, cand, limit) == full[:limit]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_needs_no_recursion_per_point():
+    masks = [1 << i for i in range(300)]
+    cand = [(1 << 300) - 1] * 300
+    identity = tuple(range(300))
+    swapped = identity[:-2] + (299, 298)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        assert pure.search(masks, masks, cand, 2) == [identity, swapped]
+        with pytest.raises(RecursionError):
+            _search_reference(masks, masks, cand, 2)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+# --- refinement against the round-based reference ------------------------------------
+
+
+def _refine_reference(masks_a, masks_b, colors_a=None, colors_b=None):
+    """Round-based refinement that stops only when a round leaves every
+    colour number unchanged, numbering colours by sorted signature."""
+    na, nb = len(masks_a), len(masks_b)
+    colors_a = [0] * na if colors_a is None else list(colors_a)
+    colors_b = [0] * nb if colors_b is None else list(colors_b)
+
+    def transpose(n, masks):
+        member_of = [0] * n
+        for j, mask in enumerate(masks):
+            for i in _bits(mask):
+                member_of[i] |= 1 << j
+        return member_of
+
+    def signatures(masks, member_of, colors):
+        return [
+            (
+                colors[i],
+                tuple(sorted(colors[j] for j in _bits(mask))),
+                tuple(sorted(colors[j] for j in _bits(member_of[i]))),
+            )
+            for i, mask in enumerate(masks)
+        ]
+
+    member_a, member_b = transpose(na, masks_a), transpose(nb, masks_b)
+    for _ in range(max(na, nb) + 1):
+        sig_a = signatures(masks_a, member_a, colors_a)
+        sig_b = signatures(masks_b, member_b, colors_b)
+        table = {s: c for c, s in enumerate(sorted(set(sig_a) | set(sig_b)))}
+        new_a = [table[s] for s in sig_a]
+        new_b = [table[s] for s in sig_b]
+        if sorted(new_a) != sorted(new_b):
+            return None
+        if new_a == colors_a and new_b == colors_b:
+            break
+        colors_a, colors_b = new_a, new_b
+    return colors_a, colors_b
+
+
+def _cells(refined):
+    """The joint partition of a refinement result: (points of a, points of
+    b) per colour, independent of how the colours are numbered."""
+    if refined is None:
+        return None
+    cells = {}
+    for side, colors in enumerate(refined):
+        for i, c in enumerate(colors):
+            cells.setdefault(c, ([], []))[side].append(i)
+    return sorted((tuple(a), tuple(b)) for a, b in cells.values())
+
+
+def _preorders():
+    return [space for n in range(5) for space in enumerate_preorder_spaces(n)]
+
+
+def test_refinement_cells_match_reference_on_every_small_preorder():
+    for space in _preorders():
+        masks = space._masks
+        for colors in (None, _invariant_colors(space)):
+            want = _cells(_refine_reference(masks, masks, colors, colors))
+            # one structure against itself, then against an equal copy
+            assert _cells(refine_colors(masks, masks, colors, colors)) == want, space
+            assert _cells(refine_colors(masks, list(masks), colors, colors)) == want, space
+
+
+def test_refinement_cells_match_reference_on_relabelled_and_refuted_pairs():
+    rng = random.Random(11)
+    refuted = 0
+    for n in range(1, 5):
+        spaces = list(enumerate_preorder_spaces(n))
+        for k, space in enumerate(spaces):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pairs = [(space._masks, relabelled(space._masks, perm))]
+            others = spaces if n <= 3 else spaces[k + 1 : k + 3]
+            pairs += [(space._masks, other._masks) for other in others]
+            for masks_a, masks_b in pairs:
+                want = _cells(_refine_reference(masks_a, masks_b))
+                assert _cells(refine_colors(masks_a, masks_b)) == want, (masks_a, masks_b)
+                refuted += want is None
+    assert refuted > 100

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit.errors import DomainError, ParseError
+from scatterkit.errors import DomainError, ParseError, ScatterkitError
 from scatterkit.ordinal import (
     OMEGA,
     ONE,
@@ -149,6 +149,38 @@ def test_format_examples():
 @given(ordinals())
 def test_parse_format_round_trip(x):
     assert parse(format_ordinal(x)) == x
+
+
+_ordinal_text = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet="w^*+() 0123456789#\n", max_size=300),
+    st.builds(
+        lambda piece, times: piece * times,
+        st.sampled_from(["w + ", "w^(", ")", "w^w*", "9", "+", "(w)", "w^2*3 + 1 + "]),
+        st.integers(1, 3000),
+    ),
+    # nested exponents around a leaf, inside and beyond the depth limit
+    st.builds(
+        lambda depth, leaf: "w^(" * depth + leaf + ")" * depth,
+        st.integers(0, 120),
+        st.sampled_from(["1", "w", "w + 2", "", "0*"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordinal_text)
+def test_parse_fuzz_yields_an_ordinal_or_a_scatterkit_error(text):
+    try:
+        value = parse(text)
+    except ScatterkitError:
+        return
+    assert isinstance(value, Ordinal)
+    try:
+        printed = format_ordinal(value)
+    except DomainError:  # a coefficient too long to print
+        return
+    assert parse(printed) == value
 
 
 def test_coefficient_zero_and_power_zero():
