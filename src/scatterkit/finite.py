@@ -76,31 +76,39 @@ class FiniteSpace:
         if len(set(points)) != len(points):
             raise ValidationError("duplicate point names")
         index = {name: i for i, name in enumerate(points)}
-        opens = {}
+        opens, inside, masks = {}, [], []
         for name in points:
             if name not in min_open:
                 raise ValidationError(f"no minimal open set given for {name!r}")
-            members = frozenset(min_open[name])
-            for m in members:
-                if m not in index:
+            given = list(min_open[name])
+            members, mask = [], 0
+            for m in given:
+                i = index.get(m)
+                if i is None:
                     raise ValidationError(f"unknown point {m!r} in the minimal open set of {name!r}")
-            if name not in members:
+                members.append(i)
+                mask |= 1 << i
+            if not (mask >> index[name]) & 1:
                 raise ValidationError(f"reflexivity violated: {name!r} not in its own minimal open set")
-            opens[name] = members
+            opens[name] = frozenset(given)
+            inside.append(members)
+            masks.append(mask)
         for name in min_open:
             if name not in index:
                 raise ValidationError(f"minimal open set given for unknown point {name!r}")
-        for x in points:
-            for y in opens[x]:
-                if not opens[y] <= opens[x]:
+        for x, mask in enumerate(masks):
+            outside = ~mask
+            for y in inside[x]:
+                if masks[y] & outside:
+                    y = min(z for z in inside[x] if masks[z] & outside)  # the first offender
                     raise ValidationError(
-                        f"transitivity violated: {y!r} lies in the minimal open set of {x!r} "
-                        f"but U_{y} is not contained in U_{x}"
+                        f"transitivity violated: {points[y]!r} lies in the minimal open set of "
+                        f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
                     )
         self.points = points
         self.min_open = opens
         self._index = index
-        self._masks = tuple(self._mask(opens[name]) for name in points)
+        self._masks = tuple(masks)
         self._derived = {}
 
     def _mask(self, names) -> int:
@@ -775,32 +783,9 @@ def normal_subgroups(
                     found[join] = gens
                     nxt.append(join)
         frontier = nxt
-    groups = [PermutationGroup(group.ground, elems) for elems in found]
+    groups = [PermutationGroup.from_generators(group.ground, gens) for gens in found.values()]
     groups.sort(key=lambda g: (g.order, g.sorted_elements()))
     return groups
-
-
-def _restriction_parity(perm, block_idx) -> int:
-    """Sign of the permutation restricted to an invariant block: +1 even, -1 odd."""
-    seen = set()
-    sign = 1
-    for i in block_idx:
-        if i in seen:
-            continue
-        length, j = 0, i
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _is_fpf_involution_or_id(perm, block_idx) -> bool:
-    if all(perm[i] == i for i in block_idx):
-        return True
-    return all(perm[perm[i]] == i and perm[i] != i for i in block_idx)
 
 
 @dataclass(frozen=True)
@@ -826,11 +811,41 @@ class Remark19Report:
         return self.ok and not self.off_list
 
 
+def _role_generators(role, block, n):
+    """Generators, on n points, of a role's subgroup of Sym(block): the
+    adjacent transpositions for "free", the 3-cycles (b0 b1 bi), which
+    generate the alternating group, for K, the two double transpositions
+    (b0 b1)(b2 b3) and (b0 b2)(b1 b3) of V_4 for L, and none for J."""
+    cycles = {
+        "free": [[block[i:i + 2]] for i in range(len(block) - 1)],
+        "K": [[(block[0], block[1], b)] for b in block[2:]],
+        "L": [[block[0:2], block[2:4]], [block[0::2], block[1::2]]],
+        "J": [],
+    }
+    gens = []
+    for gen in cycles[role]:
+        perm = list(range(n))
+        for cycle in gen:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[a] = b
+        gens.append(tuple(perm))
+    return gens
+
+
 def verify_remark19(
     space: FiniteSpace,
     max_points: int = DEFAULT_MAX_POINTS,
     max_order: int = DEFAULT_MAX_GROUP_ORDER,
 ) -> Remark19Report:
+    """Compare the candidate list with the normal subgroups of a fully
+    transitive space's homeomorphism group G.
+
+    Each role assignment's candidate is generated by the role generators
+    of its blocks.  That is the subgroup of G the roles describe, since
+    full transitivity gives |G| = prod |B_i|! and G preserves each block,
+    so G = prod Sym(B_i); each generator is still checked to lie in G.
+    Assignments giving the same group are merged under the lex-least one.
+    """
     ft = is_fully_transitive(space, max_points=max_points)
     if not ft.holds:
         raise DomainError("the candidate list applies to fully transitive spaces only")
@@ -848,38 +863,27 @@ def verify_remark19(
             roles.append("L")
         role_choices.append(roles)
 
-    elements = group.sorted_elements()
-    by_elements: dict[frozenset, list[tuple[str, ...]]] = {}
+    by_group: dict[PermutationGroup, list[tuple[str, ...]]] = {}
     for assignment in itertools.product(*role_choices):
-        kept = []
-        for perm in elements:
-            ok = True
-            for b, role in enumerate(assignment):
-                idx = block_idx[b]
-                if role == "J":
-                    if any(perm[i] != i for i in idx):
-                        ok = False
-                        break
-                elif role == "K":
-                    if _restriction_parity(perm, idx) != 1:
-                        ok = False
-                        break
-                elif role == "L":
-                    if not _is_fpf_involution_or_id(perm, idx):
-                        ok = False
-                        break
-            if ok:
-                kept.append(perm)
-        by_elements.setdefault(frozenset(kept), []).append(assignment)
+        gens = [
+            gen
+            for role, idx in zip(assignment, block_idx)
+            for gen in _role_generators(role, idx, space.size)
+        ]
+        for gen in gens:
+            if gen not in group:
+                raise InternalCheckError(
+                    f"candidate generator {group.cycle_string(gen)} lies outside the group"
+                )
+        cand = PermutationGroup.from_generators(space.points, gens)
+        by_group.setdefault(cand, []).append(assignment)
 
-    candidates = []
-    for elems in sorted(by_elements, key=lambda e: (len(e), sorted(e))):
-        labels = sorted(by_elements[elems])[0]
-        candidates.append((labels, PermutationGroup(space.points, elems)))
-
+    candidates = sorted(
+        ((min(labels), cand) for cand, labels in by_group.items()),
+        key=lambda c: (c[1].order, c[1].sorted_elements()),
+    )
     normal = normal_subgroups(group, max_order=max_order)
-    candidate_sets = {cand.elements for _, cand in candidates}
-    off_list = tuple(g for g in normal if g.elements not in candidate_sets)
+    off_list = tuple(g for g in normal if g not in by_group)
     non_normal = tuple(
         cand for _, cand in candidates if not group.is_normal(cand)
     )

@@ -148,12 +148,19 @@ def aut(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PermutationGroup:
 
     Deliberately kept in this module and still independent of the
     homeomorphism search, so the two sides of the encoding check do not
-    share code.
+    share code.  The group is built from the first automorphism found for
+    each (first moved point, image) pair, a strong generating set.
     """
     n = g.size
     if n > max_vertices:
         raise BoundExceededError(f"graph has {n} vertices, above the bound of {max_vertices}")
-    return PermutationGroup(g.vertices, _automorphisms(g._adj))
+    strong = {}
+    for perm in _automorphisms(g._adj):
+        for b in range(n):
+            if perm[b] != b:
+                strong.setdefault((b, perm[b]), perm)
+                break
+    return PermutationGroup.from_generators(g.vertices, strong.values())
 
 
 def _automorphisms(adj):

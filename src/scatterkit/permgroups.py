@@ -9,6 +9,10 @@ Seress, Permutation Group Algorithms, 2003, ch. 4).  The identity stands
 for b itself.  |G| is the product of the orbit sizes, membership is
 sifting, and with this base the transversal tree lists the elements in
 lex order.
+
+Groups are built only as chains, from generators by Schreier-Sims or
+from a chain the homeomorphism search built; there is no constructor from
+an element set, which would have to trust the set to be closed.
 """
 
 from __future__ import annotations
@@ -28,21 +32,13 @@ class PermutationGroup:
     """A concrete permutation group on named points, held as its
     stabiliser chain on the base of the point order.
 
-    Order, membership, equality, hashing and normality never list the
-    elements.  The generators are the lex-first ones, computed when first
-    read, so they depend only on the group.  The elements are listed from
-    the chain when first asked for and kept; a group built from its
-    element set keeps that set as the same cache.
+    Build one with ``from_generators``, ``symmetric``, ``trivial`` or
+    ``pointwise_stabiliser``.  Order, membership, equality, hashing and
+    normality never list the elements.  The generators are the lex-first
+    ones, computed when first read, so they depend only on the group.  The
+    elements are listed from the chain, in lex order, when first asked for
+    and kept.
     """
-
-    def __init__(self, ground, elements):
-        self.ground = tuple(ground)
-        elements = frozenset(tuple(e) for e in elements)
-        if self.identity not in elements:
-            raise ValueError("a permutation group must contain the identity")
-        self._chain = _chain_from_elements(len(self.ground), elements)
-        self._elements = elements
-        self._sorted = self._generators = None
 
     @classmethod
     def _from_chain(cls, ground, chain) -> PermutationGroup:
@@ -292,19 +288,6 @@ def _lex_generators(chain, identity):
     return gens
 
 
-def _chain_from_elements(n, elements):
-    """The chain of a group given by its elements: an element whose first
-    moved point is b lies in G_(0..b-1) and sends b into b's orbit."""
-    identity = tuple(range(n))
-    levels = {}
-    for g in elements:
-        for b in range(n):
-            if g[b] != b:
-                levels.setdefault(b, {b: identity}).setdefault(g[b], g)
-                break
-    return sorted(levels.items())
-
-
 def _schreier_sims(n, generators):
     """The chain of <generators> on the base 0..n-1, by the incremental
     Schreier-Sims method of Knuth, Efficient representation of perm groups
@@ -324,10 +307,10 @@ def _schreier_sims(n, generators):
     todo = [("add", 0, g) for g in reversed(generators)]
     while todo:
         step, k, g = todo.pop()
+        if step == "add" and _sift(chain[k:], g) == identity:
+            continue
         orbit = chain[k][1]
         if step == "add":
-            if _sift(chain[k:], g) == identity:
-                continue
             strong[k].append(g)
             todo.extend(("image", k, _compose(g, u)) for u in orbit.values())
         elif g[k] not in orbit:

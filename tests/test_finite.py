@@ -1,6 +1,10 @@
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 
@@ -37,6 +41,8 @@ from scatterkit.finite import (
     verify_remark19,
 )
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
+
+from element_groups import group_from_elements
 
 CHAIN3 = FiniteSpace(("a", "b", "c"), {"a": {"a"}, "b": {"b"}, "c": {"a", "b", "c"}})
 
@@ -79,6 +85,36 @@ def test_validate_rejects_bad_names():
         FiniteSpace(("a",), {"a": {"a", "z"}})
     with pytest.raises(ValidationError, match="duplicate"):
         FiniteSpace(("a", "a"), {"a": {"a"}})
+
+
+def test_validation_errors_name_the_first_offender_under_any_hash_seed(tmp_path):
+    """Members are checked in the order given and transitivity in point
+    order, so the error does not depend on how a frozenset iterates."""
+    cases = {
+        "a: a x y z\n": "error: unknown point 'x' in the minimal open set of 'a'\n",
+        "a: a b c\nb: b d\nc: c d\nd: d\n": (
+            "error: transitivity violated: 'b' lies in the minimal open set of 'a' "
+            "but U_b is not contained in U_a\n"
+        ),
+    }
+    for i, (text, expected) in enumerate(cases.items()):
+        path = tmp_path / f"bad{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        for seed in ("1", "5"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "scatterkit", "fspace", str(path)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert (proc.returncode, proc.stderr) == (1, expected)
+
+
+def test_long_chain_validates_quickly():
+    start = time.perf_counter()
+    space = chain_space(1100)
+    assert time.perf_counter() - start < 1.0
+    assert space.size == 1100
 
 
 def test_parse_round_trip():
@@ -405,7 +441,9 @@ def test_fixator():
 def _fixator_reference(group, names):
     """The fixator by filtering the group's listed elements."""
     idx = [group.ground.index(name) for name in names]
-    return PermutationGroup(group.ground, [g for g in group.elements if all(g[i] == i for i in idx)])
+    return group_from_elements(
+        group.ground, [g for g in group.elements if all(g[i] == i for i in idx)]
+    )
 
 
 def test_fixator_matches_reference():
@@ -480,10 +518,11 @@ def disjoint_union(*spaces):
     return FiniteSpace(points, opens)
 
 
-def layered_space(layers, width):
-    """Each point of a layer sees every point of the layers below it."""
+def layered_space(sizes):
+    """Layers of the given sizes, lowest first; each point's minimal open
+    set is itself plus every point of the layers below it."""
     points, opens, below = [], {}, set()
-    for layer in range(layers):
+    for layer, width in enumerate(sizes):
         row = [f"x{layer}_{i}" for i in range(width)]
         for p in row:
             opens[p] = below | {p}
@@ -500,7 +539,7 @@ def test_direct_check_matches_reference():
         FiniteSpace.parse("a: a\nb: b\nc: a c\nd: b d\n"),
         disjoint_union(chain_space(2), chain_space(2), chain_space(2)),
         disjoint_union(star_space(3), star_space(2)),  # two_fans() in the other order
-        layered_space(2, 2),
+        layered_space((2, 2)),
     ]
     for space in spaces:
         report = is_fully_transitive(space)
@@ -517,7 +556,7 @@ def test_full_transitivity_at_default_bounds():
     # the direct check pins stabilisers instead of walking the n!-sized tuple sets
     report = is_fully_transitive(chain_space(10))
     assert report.holds and report.group_order == 1
-    report = is_fully_transitive(layered_space(4, 3))
+    report = is_fully_transitive(layered_space((3, 3, 3, 3)))
     assert report.holds and report.group_order == factorial(3) ** 4 == 1296
 
 
@@ -629,6 +668,99 @@ def test_remark19_double_fan_reports_diagonal():
 def test_remark19_requires_full_transitivity():
     with pytest.raises(DomainError):
         verify_remark19(two_fans())
+
+
+def _restriction_parity(perm, block_idx) -> int:
+    """Sign of the permutation restricted to an invariant block: +1 even, -1 odd."""
+    seen = set()
+    sign = 1
+    for i in block_idx:
+        if i in seen:
+            continue
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _is_fpf_involution_or_id(perm, block_idx) -> bool:
+    if all(perm[i] == i for i in block_idx):
+        return True
+    return all(perm[perm[i]] == i and perm[i] != i for i in block_idx)
+
+
+def _remark19_reference(space):
+    """The candidates by filtering the group's elements for each role
+    assignment, labelled by the lex-least assignment, and the off-list
+    normal subgroups by comparing element sets."""
+    ft = is_fully_transitive(space)
+    group = ft.group
+    blocks = ft.partition.blocks
+    block_idx = [tuple(space.index(p) for p in block) for block in blocks]
+    role_choices = []
+    for block in blocks:
+        roles = ["free", "J"]
+        if len(block) >= 3:
+            roles.append("K")
+        if len(block) == 4:
+            roles.append("L")
+        role_choices.append(roles)
+
+    def keeps(perm, role, idx):
+        if role == "J":
+            return all(perm[i] == i for i in idx)
+        if role == "K":
+            return _restriction_parity(perm, idx) == 1
+        if role == "L":
+            return _is_fpf_involution_or_id(perm, idx)
+        return True
+
+    by_elements = {}
+    for assignment in itertools.product(*role_choices):
+        kept = frozenset(
+            perm
+            for perm in group.sorted_elements()
+            if all(keeps(perm, role, idx) for role, idx in zip(assignment, block_idx))
+        )
+        by_elements.setdefault(kept, []).append(assignment)
+    candidates = [
+        (sorted(by_elements[elems])[0], group_from_elements(space.points, elems))
+        for elems in sorted(by_elements, key=lambda e: (len(e), sorted(e)))
+    ]
+    off_list = [g for g in normal_subgroups(group) if g.elements not in by_elements]
+    return candidates, off_list
+
+
+def test_remark19_candidates_match_element_filter_reference():
+    spaces = [
+        discrete_space(1),
+        chain_space(2),
+        chain_space(3),
+        discrete_space(3),
+        discrete_space(4),
+        discrete_space(5),
+        *(star_space(leaves, tiers) for tiers in (1, 2) for leaves in (3, 4, 5)),
+        double_fan_space(),
+    ]
+    for sizes in ((2, 2), (3, 3), (3, 2), (2, 2, 2), (1, 2, 1, 2), (4, 3)):
+        spaces.append(layered_space(sizes))
+    for n in range(0, 5):
+        spaces += [sp for sp in enumerate_t0_spaces(n) if is_fully_transitive(sp).holds]
+    off_list_seen = 0
+    for space in spaces:
+        report = verify_remark19(space)
+        candidates, off_list = _remark19_reference(space)
+        assert [labels for labels, _ in report.candidates] == [labels for labels, _ in candidates]
+        for (_, got), (_, want) in zip(report.candidates, candidates):
+            assert got == want
+            assert got.sorted_elements() == want.sorted_elements()
+        assert list(report.off_list) == off_list
+        off_list_seen += bool(off_list)
+    assert off_list_seen  # the double fan and the layered spaces have sign diagonals
 
 
 # --- enumeration -------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from scatterkit.graphs import (
     verify_prop24,
 )
 
+from element_groups import group_from_elements
+
 
 def path(n):
     names = [str(i) for i in range(1, n + 1)]
@@ -70,6 +72,22 @@ def test_graph_parse():
     assert len(g.edges) == 3
     with pytest.raises(ParseError):
         Graph.parse("a b c\n")
+
+
+def test_graph_parse_round_trip():
+    """``vertex v`` lines for every vertex, then ``u v`` lines for every edge,
+    parse back to the same vertices and edges."""
+    rng = random.Random(24)
+    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, up_to_iso=False)]
+    graphs += [random_graph(rng.randint(6, 8), rng) for _ in range(20)]
+    graphs += [make(n) for make in (path, cycle, complete) for n in range(3, 8)]
+    graphs.append(petersen())
+    for g in graphs:
+        text = "".join(f"vertex {v}\n" for v in g.vertices)
+        text += "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
+        back = Graph.parse(text)
+        assert back.vertices == g.vertices, g
+        assert back.sorted_edges() == g.sorted_edges(), g
 
 
 # --- encoding -------------------------------------------------------------------
@@ -144,7 +162,7 @@ def test_aut_matches_reference():
         kept = _aut_reference(g)
         assert _automorphisms(g._adj) == kept, g
         group = aut(g, max_vertices=10)
-        reference = PermutationGroup(g.vertices, kept)
+        reference = group_from_elements(g.vertices, kept)
         assert group.elements == reference.elements, g
         assert group.generators == reference.generators, g
 

@@ -35,6 +35,8 @@ from scatterkit.permgroups import (
 )
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
 
+from element_groups import group_from_elements
+
 
 def run_cli(*argv):
     buf = io.StringIO()
@@ -175,7 +177,7 @@ def test_element_built_groups_match_reference():
         _assert_matches(group, group.elements)
     for space in named_spaces():
         elements = _homeo_reference(space)
-        group = PermutationGroup(space.points, elements)
+        group = group_from_elements(space.points, elements)
         _assert_matches(group, elements)
         assert group == homeo_group(space, max_points=40)
 
@@ -192,7 +194,7 @@ def test_group_forms_agree_on_named_spaces():
         n = len(group.ground)
         probes = elements + [tuple(rng.sample(range(n), n)) for _ in range(50)]
         for other in (
-            PermutationGroup(space.points, elements),
+            group_from_elements(space.points, elements),
             PermutationGroup.from_generators(space.points, reversed(elements)),
         ):
             assert other.order == group.order
@@ -207,8 +209,32 @@ def test_equal_orders_do_not_make_groups_equal():
     swap_back = PermutationGroup.from_generators(range(4), [(0, 1, 3, 2)])
     assert swap_front.order == swap_back.order == 2
     assert swap_front != swap_back
-    assert swap_front != PermutationGroup(range(4), [(0, 1, 2, 3), (0, 1, 3, 2)])
-    assert swap_front == PermutationGroup(range(4), [(0, 1, 2, 3), (1, 0, 2, 3)])
+    assert swap_front != group_from_elements(range(4), [(0, 1, 2, 3), (0, 1, 3, 2)])
+    assert swap_front == group_from_elements(range(4), [(0, 1, 2, 3), (1, 0, 2, 3)])
+
+
+def test_no_group_is_built_from_an_unclosed_element_set():
+    """Three elements of S3 that are not closed under composition: there is
+    no element-set constructor to trust them, and as generators they give S3."""
+    elements = [(0, 1, 2), (1, 0, 2), (0, 2, 1)]
+    with pytest.raises(TypeError):
+        PermutationGroup(range(3), elements)
+    group = PermutationGroup.from_generators(range(3), elements)
+    assert group.order == 6
+    assert (1, 2, 0) in group
+    with pytest.raises(AssertionError, match="not closed"):
+        group_from_elements(range(3), elements)
+
+
+def test_groups_on_the_empty_ground():
+    for group in (
+        PermutationGroup.from_generators((), [()]),
+        PermutationGroup.from_generators((), []),
+        PermutationGroup.trivial(()),
+    ):
+        assert group.order == 1
+        assert group.sorted_elements() == [()]
+        assert group.generators == ()
 
 
 def test_symmetric_group_is_the_discrete_homeo_group():
@@ -262,7 +288,7 @@ def test_is_normal_against_reference_on_s4_subgroups():
     subgroups = {}
     for a, b in itertools.combinations_with_replacement(elements, 2):
         closed = frozenset(_close(4, [a, b]))
-        subgroups.setdefault(closed, PermutationGroup(range(4), closed))
+        subgroups.setdefault(closed, group_from_elements(range(4), closed))
     assert len(subgroups) == 30
     verdicts = [s4.is_normal(sub) for sub in subgroups.values()]
     assert verdicts == [_is_normal_reference(s4, sub) for sub in subgroups.values()]
