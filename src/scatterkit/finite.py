@@ -14,6 +14,7 @@ and the normal subgroup lattice of small permutation groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import factorial
@@ -28,7 +29,7 @@ from .errors import (
     UnknownPointError,
     ValidationError,
 )
-from .permgroups import PermutationGroup, _compose, _grow_closure, _grow_orbit, _inverse
+from .permgroups import PermutationGroup, _compose, _grow_orbit, _inverse
 
 __all__ = [
     "FiniteSpace",
@@ -130,10 +131,6 @@ class FiniteSpace:
         except KeyError:
             raise UnknownPointError(f"unknown point {name!r}") from None
 
-    def is_open(self, names) -> bool:
-        mask = self._mask(frozenset(names))
-        return all(self._masks[i] & ~mask == 0 for i in _bits(mask))
-
     def closure(self, names) -> frozenset[str]:
         """Smallest closed superset: the points whose minimal open meets the set."""
         mask = self._mask(frozenset(names))
@@ -152,11 +149,6 @@ class FiniteSpace:
                 mask |= self._masks[i]
             found.add(mask)
         return sorted((frozenset(self._names(m)) for m in found), key=lambda s: (len(s), sorted(s)))
-
-    @classmethod
-    def from_dict(cls, min_open, order=None) -> FiniteSpace:
-        points = tuple(order) if order is not None else tuple(min_open)
-        return cls(points, min_open)
 
     @classmethod
     def parse(cls, text: str) -> FiniteSpace:
@@ -718,23 +710,20 @@ def _is_homeo(space, perm) -> bool:
 
 
 def conjugacy_classes(group: PermutationGroup) -> list[frozenset[tuple[int, ...]]]:
-    """Orbits under conjugation, in a deterministic order."""
-    remaining = set(group.elements)
+    """Orbits under conjugation, in order of their lex-first members."""
     gens_with_inv = [(g, _inverse(g)) for g in group.generators]
-    classes = []
+    seen, classes = set(), []
     for rep in group.sorted_elements():
-        if rep not in remaining:
+        if rep in seen:
             continue
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            h = frontier.pop()
+        orbit, frontier = {rep}, [rep]
+        for h in frontier:
             for g, g_inv in gens_with_inv:
                 c = _compose(g, _compose(h, g_inv))
                 if c not in orbit:
                     orbit.add(c)
                     frontier.append(c)
-        remaining -= orbit
+        seen |= orbit
         classes.append(frozenset(orbit))
     return classes
 
@@ -747,45 +736,69 @@ def _check_order(group, max_order):
 def normal_subgroups(
     group: PermutationGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> list[PermutationGroup]:
-    """All normal subgroups, as joins of subgroups generated by conjugacy classes.
+    """All normal subgroups, by order and then by lex listing.
 
-    A normal subgroup is a union of conjugacy classes and is generated by
-    the classes it contains, so closing the class-generated subgroups
-    under pairwise join enumerates every normal subgroup exactly once.
-    Each class-generated subgroup is built once, from the few class
-    members needed to generate it, and each join grows the elements of
-    the current subgroup by the class subgroup's generators only, so no
-    closure ever treats every element as a generator.  A group's reported
-    generators depend only on the group, not on how the lattice was
-    searched.
+    A normal subgroup is a union of conjugacy classes that holds the
+    identity and is closed under products (Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, 2005), so the lattice is searched on
+    bitmasks over the classes.  Classes A and B meet in A B the classes of
+    r y for one r in A and every y in B, as g (r y) g^-1 = (g r g^-1)(g y g^-1);
+    r y is conjugate to y r, so the smaller class is the one walked.  Each
+    subgroup is built by Schreier-Sims from the classes it was joined from,
+    and its order must equal the total size of its classes.
     """
     _check_order(group, max_order)
-    n = len(group.ground)
-    trivial = frozenset([tuple(range(n))])
-    class_subgroups = []  # (a class member, generators of the class-generated subgroup)
-    for cls in conjugacy_classes(group):
-        gens = []
-        _grow_closure(set(trivial), gens, sorted(cls))
-        class_subgroups.append((min(cls), gens))
-    found = {trivial: []}  # element set -> generators
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for member, cls_gens in class_subgroups:
-                # sub is normal, so holding one member means holding the class
-                if member in sub:
-                    continue
-                elements, gens = set(sub), list(found[sub])
-                _grow_closure(elements, gens, cls_gens)
-                join = frozenset(elements)
+    classes = [sorted(cls) for cls in conjugacy_classes(group)]
+    class_of = {g: k for k, cls in enumerate(classes) for g in cls}
+    products = [[0] * len(classes) for _ in classes]  # [a][b]: the classes that A B meets
+    for a, b in itertools.combinations_with_replacement(range(len(classes)), 2):
+        small, large = sorted((classes[a], classes[b]), key=len)
+        products[a][b] = products[b][a] = sum({1 << class_of[_compose(large[0], y)] for y in small})
+    found = {1 << class_of[group.identity]: []}  # closed mask -> the classes it was joined from
+    todo = list(found)
+    while todo:
+        mask = todo.pop()
+        for k in range(len(classes)):
+            if not (mask >> k) & 1:
+                join = _close_classes(products, mask, k)
                 if join not in found:
-                    found[join] = gens
-                    nxt.append(join)
-        frontier = nxt
-    groups = [PermutationGroup.from_generators(group.ground, gens) for gens in found.values()]
-    groups.sort(key=lambda g: (g.order, g.sorted_elements()))
+                    found[join] = found[mask] + [k]
+                    todo.append(join)
+    groups = []
+    for mask, joined in found.items():
+        sub = PermutationGroup.from_generators(group.ground, [g for k in joined for g in classes[k]])
+        size = sum(len(classes[k]) for k in _bits(mask))
+        if sub.order != size:
+            raise InternalCheckError(
+                f"normal subgroup of order {sub.order} does not match the {size} elements "
+                "of its conjugacy classes"
+            )
+        groups.append(sub)
+    groups.sort(key=functools.cmp_to_key(_by_order_then_listing))
     return groups
+
+
+def _by_order_then_listing(g, h):
+    """By order, then by lex listing, which is walked only to break a tie."""
+    if g.order != h.order:
+        return g.order - h.order
+    a, b = g.sorted_elements(), h.sorted_elements()
+    return (a > b) - (a < b)
+
+
+def _close_classes(products, mask, k):
+    """The smallest closed mask holding the closed ``mask``, a normal
+    subgroup M, and class k, K: the union of the K^n M.  K^(n+1) M is K^n M
+    times K, so after K M each class reached is multiplied by K alone."""
+    grown = mask
+    for b in _bits(mask):
+        grown |= products[k][b]
+    todo = list(_bits(grown & ~mask))
+    while todo:
+        reached = products[todo.pop()][k] & ~grown
+        grown |= reached
+        todo += _bits(reached)
+    return grown
 
 
 @dataclass(frozen=True)

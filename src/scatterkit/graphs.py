@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BoundExceededError,
+    InternalCheckError,
     ParseError,
     UnknownPointError,
     ValidationError,
@@ -148,19 +149,27 @@ def aut(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PermutationGroup:
 
     Deliberately kept in this module and still independent of the
     homeomorphism search, so the two sides of the encoding check do not
-    share code.  The group is built from the first automorphism found for
-    each (first moved point, image) pair, a strong generating set.
+    share code.  The first automorphism found for each (first moved point b,
+    image j) pair fixes 0..b-1 and sends b to j, a transversal element of
+    the stabiliser chain, whose order must be the number found.
     """
     n = g.size
     if n > max_vertices:
         raise BoundExceededError(f"graph has {n} vertices, above the bound of {max_vertices}")
-    strong = {}
-    for perm in _automorphisms(g._adj):
+    identity = tuple(range(n))
+    found = _automorphisms(g._adj)
+    orbits = {}
+    for perm in found:
         for b in range(n):
             if perm[b] != b:
-                strong.setdefault((b, perm[b]), perm)
+                orbits.setdefault(b, {b: identity}).setdefault(perm[b], perm)
                 break
-    return PermutationGroup.from_generators(g.vertices, strong.values())
+    group = PermutationGroup._from_chain(g.vertices, sorted(orbits.items()))
+    if group.order != len(found):
+        raise InternalCheckError(
+            f"the automorphism chain has order {group.order}, but the search found {len(found)}"
+        )
+    return group
 
 
 def _automorphisms(adj):
@@ -365,14 +374,14 @@ def enumerate_graphs(n: int, up_to_iso: bool = True):
         yield Graph(names, [(names[pairs[k][0]], names[pairs[k][1]]) for k in present])
 
 
-def random_graph(n: int, rng, edge_probability: float = 0.5) -> Graph:
+def random_graph(n: int, rng) -> Graph:
     """A random labelled graph with at least one edge (rejection sampled)."""
     names = tuple(f"v{i + 1}" for i in range(n))
     while True:
         edges = [
             (names[a], names[b])
             for a, b in itertools.combinations(range(n), 2)
-            if rng.random() < edge_probability
+            if rng.random() < 0.5
         ]
         if edges:
             return Graph(names, edges)

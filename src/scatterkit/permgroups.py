@@ -194,34 +194,6 @@ def _inverse(g):
     return tuple(inv)
 
 
-def _grow_closure(elements, gens, extra):
-    """Grow ``elements`` = <gens> in place to <gens, extra>.
-
-    Each member of ``extra`` not yet inside is appended to ``gens``.  Only
-    the new elements are multiplied by every generator; the old ones need
-    the added generator alone, since they are already closed under the rest.
-    """
-    for g in extra:
-        if g in elements:
-            continue
-        gens.append(g)
-        frontier = []
-        for h in list(elements):
-            new = _compose(h, g)
-            if new not in elements:
-                elements.add(new)
-                frontier.append(new)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for s in gens:
-                    new = _compose(h, s)
-                    if new not in elements:
-                        elements.add(new)
-                        nxt.append(new)
-            frontier = nxt
-
-
 def _grow_orbit(orbit, gens):
     """Close ``orbit`` (point -> transversal element) under ``gens`` in place."""
     frontier = list(orbit)

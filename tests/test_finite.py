@@ -43,6 +43,7 @@ from scatterkit.finite import (
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
 
 from element_groups import group_from_elements
+from spaces import layered_space
 
 CHAIN3 = FiniteSpace(("a", "b", "c"), {"a": {"a"}, "b": {"b"}, "c": {"a", "b", "c"}})
 
@@ -518,19 +519,6 @@ def disjoint_union(*spaces):
     return FiniteSpace(points, opens)
 
 
-def layered_space(sizes):
-    """Layers of the given sizes, lowest first; each point's minimal open
-    set is itself plus every point of the layers below it."""
-    points, opens, below = [], {}, set()
-    for layer, width in enumerate(sizes):
-        row = [f"x{layer}_{i}" for i in range(width)]
-        for p in row:
-            opens[p] = below | {p}
-        points += row
-        below |= set(row)
-    return FiniteSpace(points, opens)
-
-
 def test_direct_check_matches_reference():
     spaces = [sp for n in range(0, 5) for sp in enumerate_t0_spaces(n)]
     spaces += [two_fans(), discrete_space(5), star_space(5, 1)]
@@ -640,6 +628,29 @@ def test_normal_subgroup_bound():
     group = homeo_group(discrete_space(5))
     with pytest.raises(BoundExceededError):
         normal_subgroups(group, max_order=100)
+
+
+def test_normal_subgroups_check_orders_against_the_classes(monkeypatch):
+    """Merging the identity's class with another, or splitting a 3-cycle
+    off its class, gives a class algebra that Schreier-Sims contradicts."""
+    group = homeo_group(discrete_space(4))
+    classes = conjugacy_classes(group)
+    three_cycles = sorted(next(cls for cls in classes if len(cls) == 8))
+    merged = [classes[0] | classes[1], *classes[2:]]
+    split = [cls for cls in classes if len(cls) != 8]
+    split += [frozenset(three_cycles[:1]), frozenset(three_cycles[1:])]
+    for wrong, order in ((merged, 1), (split, 3)):
+        monkeypatch.setattr(finite, "conjugacy_classes", lambda g, wrong=wrong: wrong)
+        with pytest.raises(InternalCheckError, match=f"order {order} does not match"):
+            normal_subgroups(group)
+
+
+def test_normal_subgroups_of_a_layered_space_in_seconds():
+    group = homeo_group(layered_space((4, 4, 2)))
+    start = time.perf_counter()
+    subs = normal_subgroups(group)
+    assert time.perf_counter() - start < 3
+    assert len(subs) == 44
 
 
 # --- Remark 19 verifier ----------------------------------------------------------------

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from scatterkit import graphs
 from scatterkit._kernels import isomorphisms
 from scatterkit.cli import main
-from scatterkit.errors import BoundExceededError, ParseError, ScatterkitError, ValidationError
+from scatterkit.errors import (
+    BoundExceededError,
+    InternalCheckError,
+    ParseError,
+    ScatterkitError,
+    ValidationError,
+)
 from scatterkit.finite import PermutationGroup, cb_data, homeo_group, separation_report
 from scatterkit.graphs import (
     DEFAULT_MAX_POINTS_FOR_ENCODING,
@@ -165,6 +171,14 @@ def test_aut_matches_reference():
         reference = group_from_elements(g.vertices, kept)
         assert group.elements == reference.elements, g
         assert group.generators == reference.generators, g
+
+
+def test_aut_checks_its_chain_against_the_search(monkeypatch):
+    """A search that missed an automorphism leaves a chain of a larger order."""
+    listed = _automorphisms
+    monkeypatch.setattr(graphs, "_automorphisms", lambda adj: listed(adj)[:-1])
+    with pytest.raises(InternalCheckError, match="has order 24, but the search found 23"):
+        aut(Graph("abcd", list(itertools.combinations("abcd", 2))))
 
 
 def test_aut_vertex_bound():

@@ -15,9 +15,9 @@ from scatterkit._kernels import isomorphisms
 from scatterkit.cli import main
 from scatterkit.errors import BoundExceededError
 from scatterkit.finite import (
-    FiniteSpace,
     cb_data,
     enumerate_preorder_spaces,
+    enumerate_t0_spaces,
     fixator,
     homeo_group,
     is_fully_transitive,
@@ -28,14 +28,14 @@ from scatterkit.graphs import Graph, aut, encode
 from scatterkit.permgroups import (
     PermutationGroup,
     _compose,
-    _grow_closure,
     _inverse,
     _schreier_sims,
     _sift,
 )
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
 
-from element_groups import group_from_elements
+from element_groups import _grow_closure, _normal_subgroups_reference, group_from_elements
+from spaces import fan_forest, layered_space
 
 
 def run_cli(*argv):
@@ -108,18 +108,6 @@ def _assert_matches(group, elements):
 
 
 # --- inputs ------------------------------------------------------------------------
-
-
-def fan_forest(widths):
-    points, opens = [], {}
-    for t, width in enumerate(widths):
-        leaves = [f"l{t}_{i}" for i in range(width)]
-        for leaf in leaves:
-            points.append(leaf)
-            opens[leaf] = {leaf}
-        points.append(f"c{t}")
-        opens[f"c{t}"] = {f"c{t}", *leaves}
-    return FiniteSpace(points, opens)
 
 
 def complete_graph(n):
@@ -276,6 +264,25 @@ def test_schreier_sims_against_closure(case):
         assert (p in group) == (p in closed)
     if len(closed) <= 720:
         _assert_matches(PermutationGroup._from_chain(range(n), chain), closed)
+
+
+# --- normal subgroups ---------------------------------------------------------------
+
+
+def test_normal_subgroups_match_element_closure_reference():
+    spaces = [space for n in range(0, 5) for space in enumerate_t0_spaces(n)]
+    spaces += remark19_spaces()
+    spaces += [
+        layered_space(sizes)
+        for sizes in ((2, 2), (3, 2), (3, 3), (2, 2, 2), (1, 2, 1, 2), (4, 4), (3, 3, 3))
+    ]
+    spaces += [fan_forest(widths) for widths in ((2, 2), (3, 3), (2, 2, 2))]
+    for space in spaces:
+        group = homeo_group(space)
+        got, want = normal_subgroups(group), _normal_subgroups_reference(group)
+        assert [sub.order for sub in got] == [sub.order for sub in want], space.to_text()
+        assert [sub.generators for sub in got] == [sub.generators for sub in want]
+        assert [sub.sorted_elements() for sub in got] == [sub.sorted_elements() for sub in want]
 
 
 # --- normality ----------------------------------------------------------------------
