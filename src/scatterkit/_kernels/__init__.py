@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import pure
 
-__all__ = ["isomorphisms", "backend_name", "refine_colors"]
+__all__ = ["isomorphisms", "backend_name", "candidates", "refine_colors"]
 
 
 def backend_name() -> str:
@@ -47,24 +47,27 @@ def _signatures(colors, inside, around):
     ]
 
 
-def refine_colors(masks_a, masks_b, colors_a=None, colors_b=None):
+def refine_colors(masks_a, masks_b):
     """Jointly refine point colours on both structures to a stable partition.
 
-    Returns (colors_a, colors_b) or None when the colour multisets differ,
-    in which case no isomorphism exists.  A point's signature holds its own
-    colour, so each round refines the one before; the first round that
-    adds no cell, counted over both sides together, is stable and the
-    loop stops there.  New colours are numbered in order of first
-    appearance, side a before side b, so only the cells carry meaning.
-    When both sides are the same masks with the same colours
-    (automorphisms), each round's signatures are computed once.
+    Starts from the uniform colouring and returns (colors_a, colors_b), or
+    None when the colour multisets differ, in which case no isomorphism
+    exists.  A point's signature holds its own colour, so each round
+    refines the one before; the first round that adds no cell, counted
+    over both sides together, is stable and the loop stops there.  That
+    is the coarsest equitable partition for the masks and their
+    transpose, which already separates every invariant counted cell by
+    cell over them, such as the CB rank, minimal open size and closure
+    size of a finite space (README).  New colours are numbered in order of
+    first appearance, side a before side b, so only the cells carry
+    meaning.  When both sides are the same masks (automorphisms), each
+    round's signatures are computed once.
     """
-    colors_a = [0] * len(masks_a) if colors_a is None else list(colors_a)
-    colors_b = [0] * len(masks_b) if colors_b is None else list(colors_b)
-    same = masks_a is masks_b and colors_a == colors_b
+    colors_a, colors_b = [0] * len(masks_a), [0] * len(masks_b)
+    same = masks_a is masks_b
     inside_a, around_a = _index_lists(masks_a)
     inside_b, around_b = (inside_a, around_a) if same else _index_lists(masks_b)
-    cells = len(set(colors_a).union(colors_b))
+    cells = 1 if masks_a else 0
     while True:
         sig_a = _signatures(colors_a, inside_a, around_a)
         sig_b = sig_a if same else _signatures(colors_b, inside_b, around_b)
@@ -81,30 +84,29 @@ def refine_colors(masks_a, masks_b, colors_a=None, colors_b=None):
         cells = len(table)
 
 
-def isomorphisms(masks_a, masks_b, colors_a=None, colors_b=None, pins=(), limit=0):
+def candidates(masks_a, masks_b):
+    """Each point's cell after joint refinement, as the bitmask of the
+    points of b it may map to, or None when refinement refutes the pair."""
+    refined = refine_colors(masks_a, masks_b)
+    if refined is None:
+        return None
+    colors_a, colors_b = refined
+    cells = {}
+    for j, c in enumerate(colors_b):
+        cells[c] = cells.get(c, 0) | 1 << j
+    return [cells[c] for c in colors_a]
+
+
+def isomorphisms(masks_a, masks_b, pins=(), limit=0):
     """All bijections p with p(masks_a[i]) == masks_b[p(i)], as index tuples.
 
-    ``colors_*`` are optional initial invariants (equal colour required for
-    i -> p(i)), ``pins`` forces individual images, ``limit`` > 0 stops the
-    search after that many bijections.  Results are in a deterministic
-    order.
+    The candidate images of each point are its cell under ``candidates``;
+    ``pins`` forces individual images, ``limit`` > 0 stops the search after
+    that many bijections.  Results are in a deterministic order.
     """
-    na, nb = len(masks_a), len(masks_b)
-    if na != nb:
+    cand = candidates(masks_a, masks_b)
+    if cand is None:
         return []
-    if na == 0:
-        return [()]
-    refined = refine_colors(masks_a, masks_b, colors_a, colors_b)
-    if refined is None:
-        return []
-    colors_a, colors_b = refined
-    cand = []
-    for i in range(na):
-        mask = 0
-        for j in range(nb):
-            if colors_b[j] == colors_a[i]:
-                mask |= 1 << j
-        cand.append(mask)
     for i, j in pins:
         cand[i] &= 1 << j
         if not cand[i]:

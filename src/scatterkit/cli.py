@@ -39,6 +39,9 @@ class _Emitter:
         self.rows: list[tuple[str, str]] = []
 
     def put(self, key: str, value) -> None:
+        """Queue one row; a bool prints as ``true`` or ``false``."""
+        if isinstance(value, bool):
+            value = "true" if value else "false"
         self.rows.append((key, str(value)))
 
     def flush(self) -> None:
@@ -52,7 +55,7 @@ class _Emitter:
 def _max_points(args, default: int | None) -> int | None:
     """The ``--max-points`` bound, else ``SCATTERKIT_MAX_POINTS``, else
     ``default``; a bound of 0 or less is a usage error."""
-    if getattr(args, "max_points", None) is not None:
+    if args.max_points is not None:
         bound, source = args.max_points, "--max-points"
     else:
         env = os.environ.get(ENV_MAX_POINTS)
@@ -97,7 +100,7 @@ def cmd_homeomorphic(args, out: _Emitter) -> int:
     g1, g2 = parse(args.first), parse(args.second)
     out.put("first", classify(g1))
     out.put("second", classify(g2))
-    out.put("homeomorphic", "true" if homeomorphic(g1, g2) else "false")
+    out.put("homeomorphic", homeomorphic(g1, g2))
     return 0
 
 
@@ -139,7 +142,7 @@ def cmd_group(args, out: _Emitter) -> int:
         out.put("note", inv.note)
     umf = gp.umf_descriptor(gamma)
     out.put("umf", umf.factor_string())
-    out.put("umf.metrisable", "true" if umf.metrisable else "false")
+    out.put("umf.metrisable", umf.metrisable)
     out.put("umf.citation", gp.CITE_THM15)
     out.put("metrisable.citation", gp.CITE_REM16)
     out.put("amenable", f"true [{gp.CITE_COR23}]")
@@ -163,9 +166,9 @@ def cmd_fspace(args, out: _Emitter) -> int:
     bound = _max_points(args, fin.DEFAULT_MAX_POINTS)
     out.put("points", space.size)
     sep = fin.separation_report(space)
-    out.put("t0", "true" if sep.t0 else "false")
-    out.put("t1", "true" if sep.t1 else "false")
-    out.put("scattered", "true" if sep.scattered else "false")
+    out.put("t0", sep.t0)
+    out.put("t1", sep.t1)
+    out.put("scattered", sep.scattered)
     data = fin.cb_data(space)
     out.put("cb_rank", data.rank)
     for i, level in enumerate(data.levels):
@@ -182,7 +185,7 @@ def cmd_fspace(args, out: _Emitter) -> int:
                 out.put(f"generator.{i}", group.cycle_string(gen))
         if args.full_transitivity:
             report = fin.is_fully_transitive(space, max_points=bound, group=group)
-            out.put("fully_transitive", "true" if report.holds else "false")
+            out.put("fully_transitive", report.holds)
             out.put("expected_order", report.expected_order)
             if report.failure:
                 out.put("failure", f"{report.failure[0]} !-> {report.failure[1]}")
@@ -212,12 +215,12 @@ def cmd_encode_graph(args, out: _Emitter) -> int:
     if args.verify:
         out.put("homeo_order", report.homeo_order)
         out.put("aut_order", report.aut_order)
-        out.put("restriction_is_isomorphism", "true" if report.restriction_is_isomorphism else "false")
-        out.put("derived_is_edges", "true" if report.derived_is_edges else "false")
-        out.put("second_derived_empty", "true" if report.second_derived_empty else "false")
-        out.put("closures_match", "true" if report.closures_match else "false")
-        out.put("isolated_are_vertices", "true" if report.isolated_are_vertices else "false")
-        out.put("ok", "true" if report.ok else "false")
+        out.put("restriction_is_isomorphism", report.restriction_is_isomorphism)
+        out.put("derived_is_edges", report.derived_is_edges)
+        out.put("second_derived_empty", report.second_derived_empty)
+        out.put("closures_match", report.closures_match)
+        out.put("isolated_are_vertices", report.isolated_are_vertices)
+        out.put("ok", report.ok)
         if report.counterexample:
             out.put("counterexample", report.counterexample)
         if not report.ok:
@@ -232,15 +235,15 @@ def cmd_flows(args, out: _Emitter) -> int:
     if args.n is not None:
         out.put("n", args.n)
         out.put("orders", len(fl.lo_space(args.n, max_n=bound)))
-        out.put("simply_transitive", "true" if fl.check_simply_transitive(args.n, max_n=bound) else "false")
+        out.put("simply_transitive", fl.check_simply_transitive(args.n, max_n=bound))
         return 0
     space = fin.FiniteSpace.parse(_read(args.fspace))
     report = fl.product_flow_check(space)
     out.put("factors", " x ".join(f"LO({s})" for s in report.factor_sizes))
     out.put("flow_size", report.flow_size)
     out.put("group_order", report.group_order)
-    out.put("simply_transitive", "true" if report.simply_transitive else "false")
-    out.put("minimal", "true" if report.minimal else "false")
+    out.put("simply_transitive", report.simply_transitive)
+    out.put("minimal", report.minimal)
     out.put("citation", "UMF(G) = G for compact (here finite) groups")
     return 0
 
@@ -354,7 +357,14 @@ def main(argv=None) -> int:
     except ScatterkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out.flush()
+    try:
+        out.flush()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered nowhere, so the
+        # interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from types import MappingProxyType
 
-from ._kernels import _bits, isomorphisms, pure, refine_colors
+from ._kernels import _bits, candidates, isomorphisms, pure
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -355,10 +355,6 @@ def _similarity_partition(space):
                 break
         else:
             blocks.append([name])
-    for block in blocks:
-        ranks = {data.rank_of[p] for p in block}
-        if len(ranks) != 1:
-            raise InternalCheckError(f"similar points with distinct ranks in block {block}")
     return SimilarityPartition(
         blocks=tuple(tuple(b) for b in blocks),
         rank_of=data.rank_of,
@@ -415,9 +411,10 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
     stabiliser chain on the base of the point order.
 
     The candidate images of a point are its cell under colour refinement
-    started from the homeomorphism invariants (CB rank, minimal open
-    size, closure size); ``_stabiliser_chain`` then makes the pinned
-    kernel searches.  No element is listed until one is asked for.
+    from the uniform colouring (``candidates``), which already separates
+    the CB rank, the minimal open size and the closure size;
+    ``_stabiliser_chain`` then makes the pinned kernel searches.  No
+    element is listed until one is asked for.
     """
     n = space.size
     if n > max_points:
@@ -430,32 +427,10 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
     return derived["homeo_group"]
 
 
-def _invariant_colors(space):
-    """Each point's homeomorphism invariants (CB rank, minimal open size,
-    closure size), numbered by their sorted order."""
-    n = space.size
-    ranks = cb_data(space).rank_of
-    closure_sizes = [0] * n
-    for i in range(n):
-        for j in _bits(space._masks[i]):
-            closure_sizes[j] += 1
-    colors = [
-        (ranks[space.points[i]], space._masks[i].bit_count(), closure_sizes[i])
-        for i in range(n)
-    ]
-    palette = {c: k for k, c in enumerate(sorted(set(colors)))}
-    return [palette[c] for c in colors]
-
-
 def _homeo_group(space):
-    colors = _invariant_colors(space)
-    colors, _ = refine_colors(space._masks, space._masks, colors, colors)
-    cells = {}
-    for i, c in enumerate(colors):
-        cells[c] = cells.get(c, 0) | 1 << i
-    return PermutationGroup._from_chain(
-        space.points, _stabiliser_chain(space._masks, [cells[c] for c in colors])
-    )
+    masks = space._masks
+    chain = _stabiliser_chain(masks, candidates(masks, masks))
+    return PermutationGroup._from_chain(space.points, chain)
 
 
 def fixator(group: PermutationGroup, names) -> PermutationGroup:
@@ -744,8 +719,11 @@ def normal_subgroups(
     bitmasks over the classes.  Classes A and B meet in A B the classes of
     r y for one r in A and every y in B, as g (r y) g^-1 = (g r g^-1)(g y g^-1);
     r y is conjugate to y r, so the smaller class is the one walked.  Each
-    subgroup is built by Schreier-Sims from the classes it was joined from,
-    and its order must equal the total size of its classes.
+    subgroup is built by Schreier-Sims from the classes it was joined from;
+    its order must equal the total size of its classes, and it must be
+    normal in the group.  Last, each class size must divide the group
+    order, which catches a class list that is wrong but closed under the
+    products it implies.
     """
     _check_order(group, max_order)
     classes = [sorted(cls) for cls in conjugacy_classes(group)]
@@ -773,7 +751,14 @@ def normal_subgroups(
                 f"normal subgroup of order {sub.order} does not match the {size} elements "
                 "of its conjugacy classes"
             )
+        if not group.is_normal(sub):
+            raise InternalCheckError(f"subgroup of order {sub.order} is not normal")
         groups.append(sub)
+    for cls in classes:
+        if group.order % len(cls):
+            raise InternalCheckError(
+                f"conjugacy class of {len(cls)} elements in a group of order {group.order}"
+            )
     groups.sort(key=functools.cmp_to_key(_by_order_then_listing))
     return groups
 

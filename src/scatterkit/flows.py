@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 from .errors import BoundExceededError, DomainError
 from .finite import FiniteSpace, is_fully_transitive
@@ -116,9 +115,7 @@ def product_flow_check(space: FiniteSpace) -> FlowReport:
         )
     group, part = report.group, report.partition
     blocks = part.blocks
-    flow_size = 1
-    for block in blocks:
-        flow_size *= factorial(len(block))
+    flow_size = report.expected_order
     if flow_size > DEFAULT_MAX_FLOW_SIZE:
         raise BoundExceededError(
             f"flow has {flow_size} points, above the bound of {DEFAULT_MAX_FLOW_SIZE}"

@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,7 @@ import pytest
 
 from scatterkit import graphs
 from scatterkit.cli import build_parser, main
-from scatterkit.verify import chain_space
+from scatterkit.verify import chain_space, discrete_space
 
 
 def run_cli(*argv):
@@ -287,6 +288,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "LimitPure" in proc.stdout
+
+
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "discrete4.txt"
+    path.write_text(discrete_space(4).to_text(), encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "scatterkit", "--format", "structured", "fspace", str(path),
+             "--group", "--normal"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_usage_error_exits_2():

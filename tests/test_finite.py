@@ -645,6 +645,35 @@ def test_normal_subgroups_check_orders_against_the_classes(monkeypatch):
             normal_subgroups(group)
 
 
+def _s4_classes_split_or_merged(kind):
+    """S4's class list made wrong yet consistent with its own products:
+    (0 1)(2 3) split off its class, or the transpositions merged into the
+    3-cycles."""
+    classes = conjugacy_classes(homeo_group(discrete_space(4)))
+    double = next(cls for cls in classes if (1, 0, 3, 2) in cls)
+    transpositions = next(cls for cls in classes if (1, 0, 2, 3) in cls)
+    three_cycles = next(cls for cls in classes if len(cls) == 8)
+    if kind == "split":
+        rest = [cls for cls in classes if cls is not double]
+        return rest + [frozenset({(1, 0, 3, 2)}), double - {(1, 0, 3, 2)}]
+    rest = [cls for cls in classes if cls not in (transpositions, three_cycles)]
+    return rest + [transpositions | three_cycles]
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("split", "order 2 is not normal"), ("merged", "class of 14 elements in a group of order 24")],
+)
+def test_normal_subgroups_check_results_against_the_group(monkeypatch, kind, message):
+    """The split list gives a non-normal subgroup of order 2; the merged
+    one a class whose size does not divide the group order."""
+    group = homeo_group(discrete_space(4))
+    wrong = _s4_classes_split_or_merged(kind)
+    monkeypatch.setattr(finite, "conjugacy_classes", lambda g: wrong)
+    with pytest.raises(InternalCheckError, match=message):
+        normal_subgroups(group)
+
+
 def test_normal_subgroups_of_a_layered_space_in_seconds():
     group = homeo_group(layered_space((4, 4, 2)))
     start = time.perf_counter()

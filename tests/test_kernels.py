@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit._kernels import _bits, backend_name, isomorphisms, pure, refine_colors
-from scatterkit.finite import _invariant_colors, enumerate_preorder_spaces
+from scatterkit._kernels import _bits, backend_name, candidates, isomorphisms, pure, refine_colors
+from scatterkit.finite import cb_data, enumerate_preorder_spaces
+from scatterkit.graphs import encode, random_graph
+from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
+
+from spaces import fan_forest, layered_space
 
 
 def random_structure(rng, n, density=0.3):
@@ -304,11 +308,46 @@ def _preorders():
 def test_refinement_cells_match_reference_on_every_small_preorder():
     for space in _preorders():
         masks = space._masks
-        for colors in (None, _invariant_colors(space)):
-            want = _cells(_refine_reference(masks, masks, colors, colors))
-            # one structure against itself, then against an equal copy
-            assert _cells(refine_colors(masks, masks, colors, colors)) == want, space
-            assert _cells(refine_colors(masks, list(masks), colors, colors)) == want, space
+        want = _cells(_refine_reference(masks, masks))
+        # one structure against itself, then against an equal copy
+        assert _cells(refine_colors(masks, masks)) == want, space
+        assert _cells(refine_colors(masks, list(masks))) == want, space
+
+
+def _invariant_colors(space):
+    """Each point's homeomorphism invariants (CB rank, minimal open size,
+    closure size), numbered by their sorted order."""
+    n = space.size
+    ranks = cb_data(space).rank_of
+    closure_sizes = [0] * n
+    for i in range(n):
+        for j in _bits(space._masks[i]):
+            closure_sizes[j] += 1
+    colors = [
+        (ranks[space.points[i]], space._masks[i].bit_count(), closure_sizes[i])
+        for i in range(n)
+    ]
+    palette = {c: k for k, c in enumerate(sorted(set(colors)))}
+    return [palette[c] for c in colors]
+
+
+def test_uniform_start_gives_the_cells_of_the_invariant_seeded_reference():
+    """Refinement from the uniform colouring reaches the coarsest equitable
+    partition, which already separates CB rank, minimal open size and
+    closure size, so seeding with them changes no cell."""
+    rng = random.Random(14)
+    spaces = _preorders()
+    spaces += [discrete_space(n) for n in range(1, 8)] + [chain_space(30)]
+    spaces += [star_space(leaves, tiers) for leaves in (3, 4, 5) for tiers in (1, 2)]
+    spaces += [double_fan_space(), layered_space((2, 2)), layered_space((3, 3, 3))]
+    spaces += [layered_space((4, 4, 2)), fan_forest((2, 2, 2)), fan_forest((3, 3))]
+    spaces += [encode(random_graph(rng.randint(3, 8), rng)) for _ in range(200)]
+    for space in spaces:
+        masks, colors = space._masks, _invariant_colors(space)
+        want = _cells(_refine_reference(masks, masks, colors, colors))
+        assert _cells(refine_colors(masks, masks)) == want, space
+        cell_of = {i: sum(1 << j for j in a) for a, _ in want for i in a}
+        assert candidates(masks, masks) == [cell_of[i] for i in range(len(masks))], space
 
 
 def test_refinement_cells_match_reference_on_relabelled_and_refuted_pairs():

@@ -15,7 +15,6 @@ from scatterkit._kernels import isomorphisms
 from scatterkit.cli import main
 from scatterkit.errors import BoundExceededError
 from scatterkit.finite import (
-    cb_data,
     enumerate_preorder_spaces,
     enumerate_t0_spaces,
     fixator,
@@ -50,22 +49,7 @@ def run_cli(*argv):
 
 def _homeo_reference(space):
     """Every homeomorphism, from one unpinned enumeration of the kernel."""
-    n = space.size
-    if n == 0:
-        return [()]
-    ranks = cb_data(space).rank_of
-    closure_sizes = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (space._masks[i] >> j) & 1:
-                closure_sizes[j] += 1
-    colors = [
-        (ranks[space.points[i]], space._masks[i].bit_count(), closure_sizes[i])
-        for i in range(n)
-    ]
-    palette = {c: k for k, c in enumerate(sorted(set(colors)))}
-    colors = [palette[c] for c in colors]
-    return isomorphisms(space._masks, space._masks, colors, colors, limit=0)
+    return isomorphisms(space._masks, space._masks, limit=0)
 
 
 def _close(n, generators):
