@@ -6,15 +6,19 @@ the bijections p with p(masks_a[i]) == masks_b[p(i)] for every i.  With
 minimal-open-set masks these are exactly the homeomorphisms of a finite
 Alexandrov space; with adjacency masks they are graph isomorphisms.
 
-The search itself is ``pure.search``, on arbitrary-size Python ints, so
-there is no point ceiling.
+Refinement (``refine_colors``) is a splitter queue on bitmask cells; its
+cells become each point's candidate images (``candidates``), and the
+points whose cell is a singleton are *settled* (``settled``), which the
+search assigns up front and never checks again.  The search itself is
+``pure.search``, on arbitrary-size Python ints, so there is no point
+ceiling.
 """
 
 from __future__ import annotations
 
 from . import pure
 
-__all__ = ["isomorphisms", "backend_name", "candidates", "refine_colors"]
+__all__ = ["isomorphisms", "backend_name", "candidates", "refine_colors", "settled"]
 
 
 def backend_name() -> str:
@@ -29,72 +33,123 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def _index_lists(masks):
-    """Each point's members, and the points whose mask holds it, as index lists."""
-    inside = [list(_bits(mask)) for mask in masks]
-    around = [[] for _ in masks]
-    for j, members in enumerate(inside):
-        for i in members:
-            around[i].append(j)
-    return inside, around
-
-
-def _signatures(colors, inside, around):
-    get = colors.__getitem__
-    return [
-        (c, tuple(sorted(map(get, ins))), tuple(sorted(map(get, aro))))
-        for c, ins, aro in zip(colors, inside, around)
-    ]
-
-
 def refine_colors(masks_a, masks_b):
-    """Jointly refine point colours on both structures to a stable partition.
+    """Jointly refine both structures to their coarsest equitable partition.
 
-    Starts from the uniform colouring and returns (colors_a, colors_b), or
-    None when the colour multisets differ, in which case no isomorphism
-    exists.  A point's signature holds its own colour, so each round
-    refines the one before; the first round that adds no cell, counted
-    over both sides together, is stable and the loop stops there.  That
-    is the coarsest equitable partition for the masks and their
-    transpose, which already separates every invariant counted cell by
-    cell over them, such as the CB rank, minimal open size and closure
-    size of a finite space (README).  New colours are numbered in order of
-    first appearance, side a before side b, so only the cells carry
-    meaning.  When both sides are the same masks (automorphisms), each
-    round's signatures are computed once.
+    Returns the cells as (points of a, points of b) bitmask pairs, or None
+    when refinement refutes the pair, in which case no isomorphism exists.
+
+    Two structures are refined as one: their disjoint union, b's points
+    shifted up by n, starting from a single cell.  A cell S taken from
+    the queue splits every cell it touches by the key
+    (|masks[x] & S|, |member[x] & S|), where ``member`` is the transpose
+    of ``masks``: how many of x's members lie in S, and how many points
+    of S hold x.  This is Hopcroft's "smaller half" splitter queue
+    (Paige & Tarjan 1987; McKay & Piperno, *Practical graph isomorphism
+    II*, 2014): when a cell that is not queued splits, every part but the
+    largest is queued, since stability under the old cell and the other
+    parts gives stability under the largest by subtraction; when a
+    queued cell splits, all its new parts are queued.  The pair is
+    refuted as soon as a part holds unequal numbers of points of a and of
+    b, which covers a key found on one side only.  With one structure on
+    both sides (automorphisms) there is no union and no such check, and
+    refinement also stops once every cell is a singleton: a discrete
+    partition is equitable.  On two sides it runs until the queue is
+    empty, since singleton pairs still have to be checked against each
+    other.  The coarsest equitable partition is unique, so the order of
+    the queue changes no cell.
     """
-    colors_a, colors_b = [0] * len(masks_a), [0] * len(masks_b)
+    n = len(masks_a)
+    if len(masks_b) != n:
+        return None
+    if not n:
+        return []
     same = masks_a is masks_b
-    inside_a, around_a = _index_lists(masks_a)
-    inside_b, around_b = (inside_a, around_a) if same else _index_lists(masks_b)
-    cells = 1 if masks_a else 0
-    while True:
-        sig_a = _signatures(colors_a, inside_a, around_a)
-        sig_b = sig_a if same else _signatures(colors_b, inside_b, around_b)
-        table = {}
-        for s in sig_a if same else sig_a + sig_b:
-            if s not in table:
-                table[s] = len(table)
-        colors_a = [table[s] for s in sig_a]
-        colors_b = colors_a if same else [table[s] for s in sig_b]
-        if not same and sorted(colors_a) != sorted(colors_b):
-            return None
-        if len(table) == cells:
-            return colors_a, colors_b
-        cells = len(table)
+    member = pure.transpose(masks_a)
+    if same:
+        masks, lower, size = masks_a, 0, n
+    else:
+        masks = list(masks_a) + [m << n for m in masks_b]
+        member += [m << n for m in pure.transpose(masks_b)]
+        lower, size = (1 << n) - 1, 2 * n
+    near_of = [a | b for a, b in zip(masks, member)]
+    cells, cell_of = [(1 << size) - 1], [0] * size
+    queue, queued = [0], [True]
+    radix = size + 1
+    while queue and not (same and len(cells) == n):
+        s = queue.pop()
+        queued[s] = False
+        splitter = cells[s]
+        near, m = 0, splitter
+        while m:
+            low = m & -m
+            near |= near_of[low.bit_length() - 1]
+            m ^= low
+        touched, m = [], near
+        while m:
+            c = cell_of[(m & -m).bit_length() - 1]
+            touched.append(c)
+            m &= ~cells[c]
+        for c in touched:
+            cell = cells[c]
+            if same and not cell & (cell - 1):
+                continue
+            # Only the points near the splitter can have a nonzero key.
+            m = cell & near
+            parts = {0: cell ^ m} if cell ^ m else {}
+            while m:
+                low = m & -m
+                x = low.bit_length() - 1
+                key = (masks[x] & splitter).bit_count() * radix + (member[x] & splitter).bit_count()
+                parts[key] = parts.get(key, 0) | low
+                m ^= low
+            if not same:
+                for part in parts.values():
+                    if (part & lower).bit_count() != (part >> n).bit_count():
+                        return None
+            if len(parts) == 1:
+                continue
+            parts = list(parts.values())
+            if not queued[c]:
+                parts.sort(key=int.bit_count)  # the largest part stays unqueued
+            cells[c] = parts.pop()
+            for part in parts:
+                new = len(cells)
+                cells.append(part)
+                queued.append(True)
+                queue.append(new)
+                while part:
+                    low = part & -part
+                    cell_of[low.bit_length() - 1] = new
+                    part ^= low
+    if same:
+        return [(cell, cell) for cell in cells]
+    return [(cell & lower, cell >> n) for cell in cells]
 
 
 def candidates(masks_a, masks_b):
     """Each point's cell after joint refinement, as the bitmask of the
     points of b it may map to, or None when refinement refutes the pair."""
-    refined = refine_colors(masks_a, masks_b)
-    if refined is None:
+    cells = refine_colors(masks_a, masks_b)
+    if cells is None:
         return None
-    colors_a, colors_b = refined
-    cells = {}
-    for j, c in enumerate(colors_b):
-        cells[c] = cells.get(c, 0) | 1 << j
-    return [cells[c] for c in colors_a]
+    cand = [0] * len(masks_a)
+    for points_a, points_b in cells:
+        for i in _bits(points_a):
+            cand[i] = points_b
+    return cand
+
+
+def settled(cand):
+    """The points with exactly one candidate image, as a bitmask.
+
+    Taken from ``candidates`` (before any pin), these are the singleton
+    cells of the joint equitable partition.  Every cell agrees on
+    membership with respect to a singleton cell, so every constraint
+    between a settled point and a point mapped within its cell already
+    holds; ``pure.search`` assigns them up front and never checks them.
+    """
+    return sum(1 << i for i, c in enumerate(cand) if not c & (c - 1))
 
 
 def isomorphisms(masks_a, masks_b, pins=(), limit=0):
@@ -107,8 +162,9 @@ def isomorphisms(masks_a, masks_b, pins=(), limit=0):
     cand = candidates(masks_a, masks_b)
     if cand is None:
         return []
+    fixed = settled(cand)
     for i, j in pins:
         cand[i] &= 1 << j
         if not cand[i]:
             return []
-    return pure.search(masks_a, masks_b, cand, limit)
+    return pure.search(masks_a, masks_b, cand, limit, fixed)

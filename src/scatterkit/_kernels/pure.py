@@ -6,10 +6,23 @@ arbitrary-size Python ints, so there is no point ceiling.
 
 from __future__ import annotations
 
-__all__ = ["search"]
+__all__ = ["search", "transpose"]
 
 
-def search(masks_a, masks_b, cand, limit=0):
+def transpose(masks):
+    """member[i] = the points j with i in masks[j], as bitmasks."""
+    n = len(masks)
+    member = [0] * n
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            member[low.bit_length() - 1] |= bit
+            m ^= low
+    return member
+
+
+def search(masks_a, masks_b, cand, limit=0, settled=0):
     """Backtracking with forward checking on candidate masks.
 
     ``cand[i]`` is the bitmask of allowed images of i; the invariant kept
@@ -21,25 +34,40 @@ def search(masks_a, masks_b, cand, limit=0):
 
     which at a full assignment is equivalent to p(masks_a[i]) ==
     masks_b[p(i)] for all i.
+
+    ``settled`` is a bitmask of points whose cell in the joint equitable
+    partition of ``candidates`` is a singleton, with ``cand`` inside those
+    cells (pins may narrow it).  Each is assigned its one candidate up
+    front; it is never branched on and never forward-checked.  This is
+    safe because every cell agrees on membership with respect to a
+    singleton cell {s} -> {t}: for x, y in one cell, s in masks_a[x] iff
+    t in masks_b[y], and x in masks_a[s] iff y in masks_b[t].  So each
+    constraint against a settled point already holds, its forward checks
+    narrow nothing, and as it never changes another point's candidates,
+    the points branched on, the results and their order are the same as
+    without ``settled``.  A settled point with no candidate left (a
+    contradicting pin) means no result.
     """
     n = len(masks_a)
-    member_b = [0] * n
-    for j, mask in enumerate(masks_b):
-        m = mask
-        while m:
-            low = m & -m
-            member_b[low.bit_length() - 1] |= 1 << j
-            m &= m - 1
-
+    member_b = transpose(masks_b)
+    member_a = member_b if masks_a is masks_b else transpose(masks_a)
     full = (1 << n) - 1
     results = []
     assignment = [-1] * n
+    m = settled
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if not cand[i]:
+            return []
+        assignment[i] = cand[i].bit_length() - 1
+        m &= m - 1
     # Depth first on an explicit stack, so the depth is not bounded by
     # Python's recursion limit: one frame [point, options left, cand,
     # assigned mask] per assigned point, options taken in increasing
     # order, which is the result order ``limit`` cuts by.
     stack = []
-    cand, assigned_mask = list(cand), 0
+    cand, assigned_mask = list(cand), settled
     while True:
         if assigned_mask == full:
             results.append(tuple(assignment))
@@ -77,25 +105,29 @@ def search(masks_a, masks_b, cand, limit=0):
             new_cand = list(cand)
             new_cand[i] = low
             ok = True
-            m = full & ~assigned_mask & ~(1 << i)
-            not_j = ~low
-            while m:
-                lo = m & -m
-                k = lo.bit_length() - 1
-                m &= m - 1
-                c = new_cand[k] & not_j
-                if (masks_a[i] >> k) & 1:
-                    c &= masks_b[j]
-                else:
-                    c &= ~masks_b[j]
-                if (masks_a[k] >> i) & 1:
-                    c &= member_b[j]
-                else:
-                    c &= ~member_b[j]
-                if not c:
-                    ok = False
+            # Forward checks.  The unassigned points are grouped by their
+            # relation to i (k in masks_a[i], i in masks_a[k]); a group may
+            # map only to points other than j with the same relation to j.
+            rest = full & ~assigned_mask & ~(1 << i)
+            out_i, in_i = masks_a[i], member_a[i]
+            out_j, in_j = masks_b[j] & ~low, member_b[j] & ~low
+            for m, allowed in (
+                (rest & out_i & in_i, out_j & in_j),
+                (rest & out_i & ~in_i, out_j & ~in_j),
+                (rest & ~out_i & in_i, in_j & ~out_j),
+                (rest & ~out_i & ~in_i, ~(out_j | in_j | low)),
+            ):
+                while m:
+                    lo = m & -m
+                    k = lo.bit_length() - 1
+                    m ^= lo
+                    c = new_cand[k] & allowed
+                    if not c:
+                        ok = False
+                        break
+                    new_cand[k] = c
+                if not ok:
                     break
-                new_cand[k] = c
             if ok:
                 assignment[i] = j
                 cand, assigned_mask = new_cand, assigned_mask | (1 << i)

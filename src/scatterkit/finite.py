@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from types import MappingProxyType
 
-from ._kernels import _bits, candidates, isomorphisms, pure
+from ._kernels import _bits, candidates, isomorphisms, pure, settled
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -364,8 +364,8 @@ def _similarity_partition(space):
 def _stabiliser_chain(masks, cand):
     """The chain of the group of permutations p with p(masks[i]) ==
     masks[p(i)] and p(i) in cand[i] for every i, from pinned kernel
-    searches; ``cand`` gives each point its cell in a partition that every
-    such p preserves.
+    searches; ``cand`` gives each point its cell in the equitable partition
+    of ``candidates``, which every such p preserves.
 
     Level i pins 0..i-1 to themselves.  The orbit of i is first grown by
     closure under the elements already found that fix that prefix; then
@@ -375,10 +375,12 @@ def _stabiliser_chain(masks, cand):
     either finds one or shows the prefix's pointwise stabiliser is
     trivial, which ends the chain, so a rigid structure costs at most one
     search.  A point whose cell holds no other unpinned point is fixed,
-    and its level needs no search.
+    and its level needs no search.  The points whose cell is a singleton
+    are ``settled`` for every search: assigned up front, never checked.
     """
     n = len(masks)
     identity = tuple(range(n))
+    fixed = settled(cand)
     pinned = list(cand)
     chain = []
     known = []  # elements found so far that fix 0..i-1
@@ -386,14 +388,14 @@ def _stabiliser_chain(masks, cand):
         cell = cand[i] >> i << i
         if cell != 1 << i:
             if not known:
-                known = [g for g in pure.search(masks, masks, pinned, 2) if g != identity]
+                known = [g for g in pure.search(masks, masks, pinned, 2, fixed) if g != identity]
                 if not known:
                     break
             orbit = _grow_orbit({i: identity}, known)
             reached = sum(1 << j for j in orbit)
             while cell & ~reached:
                 pinned[i] = cell & ~reached
-                found = pure.search(masks, masks, pinned, 1)
+                found = pure.search(masks, masks, pinned, 1, fixed)
                 if not found:
                     break
                 known.append(found[0])
@@ -560,6 +562,9 @@ def _direct_failure(space, part):
             pinned[i] = 1 << i
         for y in others:
             pinned[xs[-1]] = 1 << y
+            # No point is passed as settled: the similarity blocks are not
+            # an equitable partition, so the constraints against a point
+            # alone in its block still need checking.
             if not pure.search(masks, masks, pinned, 1):
                 return (
                     tuple(space.points[i] for i in xs),

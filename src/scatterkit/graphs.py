@@ -312,14 +312,20 @@ def verify_prop24(
             counterexample = "restriction fails to respect composition"
 
     data = cb_data(space)
-    edges = g.sorted_edges()
-    edge_points = frozenset(edge_name(u, v) for u, v in edges)
+    # The edge points, and each vertex's expected closure (itself and its
+    # incident edges), in one pass over the edges.
+    edge_points, expected_closure = set(), {v: {v} for v in g.vertices}
+    for u, w in g.sorted_edges():
+        e = edge_name(u, w)
+        edge_points.add(e)
+        expected_closure[u].add(e)
+        expected_closure[w].add(e)
     derived_is_edges = data.levels[1] == edge_points if len(data.levels) > 1 else False
     second_empty = len(data.levels) > 2 and data.levels[2] == frozenset()
 
     closures_match = True
     for v in g.vertices:
-        expected = {v} | {edge_name(u, w) for u, w in edges if v in (u, w)}
+        expected = expected_closure[v]
         actual = space.closure([v])
         if actual != expected:
             closures_match = False

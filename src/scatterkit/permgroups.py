@@ -8,7 +8,10 @@ transversal element, one fixing 0..b-1 and sending b to j (Sims 1970;
 Seress, Permutation Group Algorithms, 2003, ch. 4).  The identity stands
 for b itself.  |G| is the product of the orbit sizes, membership is
 sifting, and with this base the transversal tree lists the elements in
-lex order.
+lex order.  Sifting divides by transversal elements, so their inverses
+are kept beside the chain, one dict j -> u^-1 per level: a group builds
+them at its first membership test, and Schreier-Sims keeps its own while
+it grows the chain.
 
 Groups are built only as chains, from generators by Schreier-Sims or
 from a chain the homeomorphism search built; there is no constructor from
@@ -45,6 +48,7 @@ class PermutationGroup:
         group = cls.__new__(cls)
         group.ground = tuple(ground)
         group._chain = chain
+        group._inverses = None
         group._elements = group._sorted = group._generators = None
         return group
 
@@ -109,7 +113,9 @@ class PermutationGroup:
         return tuple(range(len(self.ground)))
 
     def __contains__(self, perm) -> bool:
-        return _sift(self._chain, tuple(perm)) == self.identity
+        if self._inverses is None:
+            self._inverses = [{j: _inverse(u) for j, u in orbit.items()} for _, orbit in self._chain]
+        return _sift(self._chain, self._inverses, tuple(perm)) == self.identity
 
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):
@@ -207,14 +213,15 @@ def _grow_orbit(orbit, gens):
     return orbit
 
 
-def _sift(chain, perm):
-    """Divide perm by the transversal element of its image at each level;
-    the residue is the identity iff perm lies in the group."""
-    for b, orbit in chain:
-        u = orbit.get(perm[b])
-        if u is None:
+def _sift(chain, inverses, perm):
+    """Divide perm by the transversal element of its image at each level,
+    composing with its kept inverse; the residue is the identity iff perm
+    lies in the group."""
+    for (b, _), inverse in zip(chain, inverses):
+        u_inv = inverse.get(perm[b])
+        if u_inv is None:
             return perm
-        perm = _compose(_inverse(u), perm)
+        perm = _compose(u_inv, perm)
     return perm
 
 
@@ -272,14 +279,17 @@ def _schreier_sims(n, generators):
     otherwise its Schreier generator, which fixes k, is added to level k+1
     unless it already sifts through the deeper levels.  At the end each
     level's orbit is a transversal of <strong[k]> over <strong[k+1]>.
+    Each orbit element's inverse is taken once, when it joins the orbit,
+    and kept for the sifts.
     """
     identity = tuple(range(n))
     chain = [(k, {k: identity}) for k in range(n)]
+    inverses = [{k: identity} for k in range(n)]
     strong = [[] for _ in range(n)]
     todo = [("add", 0, g) for g in reversed(generators)]
     while todo:
         step, k, g = todo.pop()
-        if step == "add" and _sift(chain[k:], g) == identity:
+        if step == "add" and _sift(chain[k:], inverses[k:], g) == identity:
             continue
         orbit = chain[k][1]
         if step == "add":
@@ -287,9 +297,10 @@ def _schreier_sims(n, generators):
             todo.extend(("image", k, _compose(g, u)) for u in orbit.values())
         elif g[k] not in orbit:
             orbit[g[k]] = g
+            inverses[k][g[k]] = _inverse(g)
             todo.extend(("image", k, _compose(s, g)) for s in strong[k])
         else:
-            residue = _compose(_inverse(orbit[g[k]]), g)
+            residue = _compose(inverses[k][g[k]], g)
             if residue != identity:
                 todo.append(("add", k + 1, residue))
     return [(k, orbit) for k, orbit in chain if len(orbit) > 1]

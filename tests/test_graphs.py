@@ -18,7 +18,7 @@ from scatterkit.errors import (
     ScatterkitError,
     ValidationError,
 )
-from scatterkit.finite import PermutationGroup, cb_data, homeo_group, separation_report
+from scatterkit.finite import FiniteSpace, PermutationGroup, cb_data, homeo_group, separation_report
 from scatterkit.graphs import (
     DEFAULT_MAX_POINTS_FOR_ENCODING,
     DEFAULT_MAX_VERTICES,
@@ -444,3 +444,19 @@ def test_homeo_matches_aut_elementwise_on_path():
         tuple(perm[i] for i in range(3)) for perm in group.elements
     }
     assert restricted == set(aut(g).elements)
+
+
+def test_verify_prop24_names_the_first_vertex_whose_closure_is_wrong(monkeypatch):
+    # edges a--b and c--d each lose an endpoint, so the closures of b and
+    # c both miss an edge; the counterexample names b, the first of them
+    def tampered(g):
+        space = encode(g)
+        opens = {p: set(space.min_open[p]) for p in space.points}
+        opens["a--b"].discard("b")
+        opens["c--d"].discard("c")
+        return FiniteSpace(space.points, opens)
+
+    monkeypatch.setattr(graphs, "encode", tampered)
+    report = verify_prop24(Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]))
+    assert not report.closures_match and not report.ok
+    assert report.counterexample == "closure of {b} is ['b', 'b--c'], expected ['a--b', 'b', 'b--c']"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit._kernels import _bits, backend_name, candidates, isomorphisms, pure, refine_colors
+from scatterkit._kernels import _bits, backend_name, candidates, isomorphisms, pure, refine_colors, settled
 from scatterkit.finite import cb_data, enumerate_preorder_spaces
 from scatterkit.graphs import encode, random_graph
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
@@ -108,6 +108,15 @@ def test_relabelled_structures_are_isomorphic():
 def test_refinement_detects_impossible_pairs():
     # a chain of length 2 versus a discrete pair
     assert refine_colors([0b01 | 0b10, 0b10], [0b01, 0b10]) is None
+
+
+def test_transpose_on_sparse_and_dense_families():
+    rng = random.Random(5)
+    for n in (0, 1, 5, 17, 70, 200):
+        for density in (0.02, 0.5, 0.95):
+            masks = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            want = [sum(1 << j for j in range(n) if masks[j] >> i & 1) for i in range(n)]
+            assert pure.transpose(masks) == want
 
 
 def test_backend_name_reports_a_backend():
@@ -225,6 +234,37 @@ def test_search_matches_recursive_reference(case):
     assert pure.search(masks_a, masks_b, cand, limit) == full[:limit]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32), st.integers(1, 6), st.booleans())
+def test_search_with_settled_points_matches_search_without(n, seed, limit, relabel):
+    rng = random.Random(seed)
+    masks_a = _random_masks(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    masks_b = relabelled(masks_a, perm) if relabel else _random_masks(rng, n)
+    cand = candidates(masks_a, masks_b)
+    if cand is None:
+        return
+    fixed = settled(cand)
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        cand[i] &= 1 << rng.randrange(n)  # a random pin, which may contradict the cell
+    full = pure.search(masks_a, masks_b, cand)
+    assert full == _search_reference(masks_a, masks_b, cand)
+    assert pure.search(masks_a, masks_b, cand, 0, fixed) == full
+    assert pure.search(masks_a, masks_b, cand, limit, fixed) == full[:limit]
+
+
+def test_pins_on_settled_points():
+    masks = [0b001, 0b010, 0b111]  # the top point 2 is alone in its cell
+    assert settled(candidates(masks, masks)) == 0b100
+    assert isomorphisms(masks, masks, pins=[(2, 0)]) == []
+    assert isomorphisms(masks, masks, pins=[(2, 2)]) == [(0, 1, 2), (1, 0, 2)]
+    assert isomorphisms(masks, masks, pins=[(2, 2), (0, 1)]) == [(1, 0, 2)]
+    chain = chain_space(6)._masks
+    assert isomorphisms(chain, chain, pins=[(3, 3)]) == [tuple(range(6))]
+    assert isomorphisms(chain, chain, pins=[(3, 4)]) == []
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -289,9 +329,11 @@ def _refine_reference(masks_a, masks_b, colors_a=None, colors_b=None):
     return colors_a, colors_b
 
 
-def _cells(refined):
-    """The joint partition of a refinement result: (points of a, points of
-    b) per colour, independent of how the colours are numbered."""
+def _reference_cells(masks_a, masks_b, colors_a=None, colors_b=None):
+    """The joint partition the reference reaches: (points of a, points of
+    b) per colour, independent of how the colours are numbered; None when
+    it refutes the pair."""
+    refined = _refine_reference(masks_a, masks_b, colors_a, colors_b)
     if refined is None:
         return None
     cells = {}
@@ -301,17 +343,63 @@ def _cells(refined):
     return sorted((tuple(a), tuple(b)) for a, b in cells.values())
 
 
+def _cells(cells):
+    """The kernel's cells in the form of ``_reference_cells``."""
+    if cells is None:
+        return None
+    return sorted((tuple(_bits(a)), tuple(_bits(b))) for a, b in cells)
+
+
 def _preorders():
     return [space for n in range(5) for space in enumerate_preorder_spaces(n)]
 
 
 def test_refinement_cells_match_reference_on_every_small_preorder():
-    for space in _preorders():
+    spaces = _preorders() + list(enumerate_preorder_spaces(5))
+    assert len(spaces) == 390 + 6942
+    for space in spaces:
         masks = space._masks
-        want = _cells(_refine_reference(masks, masks))
+        want = _reference_cells(masks, masks)
         # one structure against itself, then against an equal copy
         assert _cells(refine_colors(masks, masks)) == want, space
         assert _cells(refine_colors(masks, list(masks))) == want, space
+
+
+def _random_masks(rng, n):
+    """A random family of n subsets of {0..n-1}: a preorder half the time,
+    otherwise arbitrary (not reflexive, not transitive)."""
+    if rng.random() < 0.5:
+        return random_structure(rng, n, rng.choice((0.15, 0.3, 0.5)))
+    return [rng.getrandbits(n) if n else 0 for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32), st.sampled_from(("relabelled", "unrelated", "longer")))
+def test_refinement_cells_match_reference_on_random_two_sided_pairs(n, seed, kind):
+    rng = random.Random(seed)
+    masks_a = _random_masks(rng, n)
+    if kind == "relabelled":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        masks_b = relabelled(masks_a, perm)
+    else:
+        masks_b = _random_masks(rng, n + (kind == "longer"))
+    want = _reference_cells(masks_a, masks_b)
+    assert _cells(refine_colors(masks_a, masks_b)) == want
+    assert _cells(refine_colors(masks_b, masks_a)) == _reference_cells(masks_b, masks_a)
+    if kind == "relabelled":
+        assert want is not None
+    if kind == "longer":
+        assert want is None
+
+
+def test_refinement_stops_at_the_discrete_partition_on_a_long_chain():
+    # every point of a chain is alone in its cell after the first split;
+    # the singleton stop leaves the other 1,099 queued cells untaken
+    masks = chain_space(1100)._masks
+    cand = candidates(masks, masks)
+    assert cand == [1 << i for i in range(1100)]
+    assert settled(cand) == (1 << 1100) - 1
 
 
 def _invariant_colors(space):
@@ -344,7 +432,7 @@ def test_uniform_start_gives_the_cells_of_the_invariant_seeded_reference():
     spaces += [encode(random_graph(rng.randint(3, 8), rng)) for _ in range(200)]
     for space in spaces:
         masks, colors = space._masks, _invariant_colors(space)
-        want = _cells(_refine_reference(masks, masks, colors, colors))
+        want = _reference_cells(masks, masks, colors, colors)
         assert _cells(refine_colors(masks, masks)) == want, space
         cell_of = {i: sum(1 << j for j in a) for a, _ in want for i in a}
         assert candidates(masks, masks) == [cell_of[i] for i in range(len(masks))], space
@@ -362,7 +450,7 @@ def test_refinement_cells_match_reference_on_relabelled_and_refuted_pairs():
             others = spaces if n <= 3 else spaces[k + 1 : k + 3]
             pairs += [(space._masks, other._masks) for other in others]
             for masks_a, masks_b in pairs:
-                want = _cells(_refine_reference(masks_a, masks_b))
+                want = _reference_cells(masks_a, masks_b)
                 assert _cells(refine_colors(masks_a, masks_b)) == want, (masks_a, masks_b)
                 refuted += want is None
     assert refuted > 100

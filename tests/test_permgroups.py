@@ -241,9 +241,10 @@ def test_schreier_sims_against_closure(case):
     assert group.order == len(closed)
     assert list(group.generators) == _reduce_generators(n, closed)
     chain = _schreier_sims(n, gens)
+    inverses = [{j: _inverse(u) for j, u in orbit.items()} for _, orbit in chain]
     identity = tuple(range(n))
     for g in closed:
-        assert _sift(chain, g) == identity
+        assert _sift(chain, inverses, g) == identity
     for p in probes:
         assert (p in group) == (p in closed)
     if len(closed) <= 720:
