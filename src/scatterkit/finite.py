@@ -14,7 +14,6 @@ and the normal subgroup lattice of small permutation groups.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from math import factorial
@@ -29,7 +28,7 @@ from .errors import (
     UnknownPointError,
     ValidationError,
 )
-from .permgroups import PermutationGroup, _compose, _grow_orbit, _inverse
+from .permgroups import PermutationGroup, _compose, _grow_orbit, _inverse, by_order_then_lex
 
 __all__ = [
     "FiniteSpace",
@@ -288,16 +287,8 @@ def similarity_witness(space: FiniteSpace, x: str, y: str) -> dict[str, str] | N
     return {space.points[a_idx[l]]: space.points[b_idx[m]] for l, m in enumerate(found[0])}
 
 
-def similar(space: FiniteSpace, x: str, y: str, cross_check: bool = False) -> bool:
-    answer = similarity_witness(space, x, y) is not None
-    if cross_check:
-        exhaustive = similar_exhaustive(space, x, y)
-        if exhaustive != answer:
-            raise InternalCheckError(
-                f"similarity criterion disagreement on ({x!r}, {y!r}): "
-                f"minimal-neighbourhood {answer}, exhaustive {exhaustive}"
-            )
-    return answer
+def similar(space: FiniteSpace, x: str, y: str) -> bool:
+    return similarity_witness(space, x, y) is not None
 
 
 def similar_exhaustive(space: FiniteSpace, x: str, y: str) -> bool:
@@ -764,16 +755,8 @@ def normal_subgroups(
             raise InternalCheckError(
                 f"conjugacy class of {len(cls)} elements in a group of order {group.order}"
             )
-    groups.sort(key=functools.cmp_to_key(_by_order_then_listing))
+    groups.sort(key=by_order_then_lex)
     return groups
-
-
-def _by_order_then_listing(g, h):
-    """By order, then by lex listing, which is walked only to break a tie."""
-    if g.order != h.order:
-        return g.order - h.order
-    a, b = g.sorted_elements(), h.sorted_elements()
-    return (a > b) - (a < b)
 
 
 def _close_classes(products, mask, k):
@@ -883,7 +866,7 @@ def verify_remark19(
 
     candidates = sorted(
         ((min(labels), cand) for cand, labels in by_group.items()),
-        key=lambda c: (c[1].order, c[1].sorted_elements()),
+        key=lambda c: by_order_then_lex(c[1]),
     )
     normal = normal_subgroups(group, max_order=max_order)
     off_list = tuple(g for g in normal if g not in by_group)

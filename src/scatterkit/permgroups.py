@@ -8,10 +8,7 @@ transversal element, one fixing 0..b-1 and sending b to j (Sims 1970;
 Seress, Permutation Group Algorithms, 2003, ch. 4).  The identity stands
 for b itself.  |G| is the product of the orbit sizes, membership is
 sifting, and with this base the transversal tree lists the elements in
-lex order.  Sifting divides by transversal elements, so their inverses
-are kept beside the chain, one dict j -> u^-1 per level: a group builds
-them at its first membership test, and Schreier-Sims keeps its own while
-it grows the chain.
+lex order.
 
 Groups are built only as chains, from generators by Schreier-Sims or
 from a chain the homeomorphism search built; there is no constructor from
@@ -20,12 +17,13 @@ an element set, which would have to trust the set to be closed.
 
 from __future__ import annotations
 
+import functools
 from math import prod
 from operator import itemgetter
 
 from .errors import BoundExceededError
 
-__all__ = ["PermutationGroup", "MAX_ELEMENTS"]
+__all__ = ["PermutationGroup", "MAX_ELEMENTS", "by_order_then_lex"]
 
 #: Cap on listing a group's elements, checked against its order first.
 MAX_ELEMENTS = 1_000_000
@@ -39,8 +37,8 @@ class PermutationGroup:
     ``pointwise_stabiliser``.  Order, membership, equality, hashing and
     normality never list the elements.  The generators are the lex-first
     ones, computed when first read, so they depend only on the group.  The
-    elements are listed from the chain, in lex order, when first asked for
-    and kept.
+    elements are walked from the chain, in lex order, each time they are
+    asked for; nothing else is kept beside the chain.
     """
 
     @classmethod
@@ -48,8 +46,7 @@ class PermutationGroup:
         group = cls.__new__(cls)
         group.ground = tuple(ground)
         group._chain = chain
-        group._inverses = None
-        group._elements = group._sorted = group._generators = None
+        group._generators = None
         return group
 
     @classmethod
@@ -60,11 +57,20 @@ class PermutationGroup:
 
     @classmethod
     def symmetric(cls, ground) -> PermutationGroup:
-        """Generated by the adjacent transpositions."""
+        """Written as its chain: level k sends k to each j >= k by the
+        transposition (k j)."""
         ground = tuple(ground)
         n = len(ground)
-        swaps = [(*range(i), i + 1, i, *range(i + 2, n)) for i in reversed(range(n - 1))]
-        return cls.from_generators(ground, swaps)
+        identity = tuple(range(n))
+        chain = []
+        for k in range(n - 1):
+            orbit = {k: identity}
+            for j in range(k + 1, n):
+                swap = list(identity)
+                swap[k], swap[j] = j, k
+                orbit[j] = tuple(swap)
+            chain.append((k, orbit))
+        return cls._from_chain(ground, chain)
 
     @classmethod
     def trivial(cls, ground) -> PermutationGroup:
@@ -76,31 +82,22 @@ class PermutationGroup:
 
     @property
     def elements(self) -> frozenset[tuple[int, ...]]:
-        if self._elements is None:
-            self._elements = frozenset(self._lex_elements())
-        return self._elements
+        return frozenset(self._lex_elements())
 
     def sorted_elements(self) -> list[tuple[int, ...]]:
         return list(self._lex_elements())
 
     def _lex_elements(self):
-        """Every element in lex order, walked from the chain once and kept.
-
-        With the base 0..n-1 the elements below a node of the transversal
-        tree share their images of the earlier base points, so visiting
-        the children of a node c by increasing c(j) lists them in lex order.
-        """
-        if self._sorted is None:
-            order = self.order
-            if order > MAX_ELEMENTS:
-                raise BoundExceededError(
-                    f"the group has {order} elements, above the cap of {MAX_ELEMENTS} "
-                    "on listing them"
-                )
-            levels = [[(j, itemgetter(*u)) for j, u in orbit.items()] for _, orbit in self._chain]
-            self._sorted = []
-            _walk(levels, 0, self.identity, self._sorted)
-        return self._sorted
+        """A lazy walk of every element in lex order, refused up front when
+        the order is above ``MAX_ELEMENTS``."""
+        order = self.order
+        if order > MAX_ELEMENTS:
+            raise BoundExceededError(
+                f"the group has {order} elements, above the cap of {MAX_ELEMENTS} "
+                "on listing them"
+            )
+        levels = [[(j, itemgetter(*u)) for j, u in orbit.items()] for _, orbit in self._chain]
+        return _walk(levels, 0, self.identity)
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -113,9 +110,7 @@ class PermutationGroup:
         return tuple(range(len(self.ground)))
 
     def __contains__(self, perm) -> bool:
-        if self._inverses is None:
-            self._inverses = [{j: _inverse(u) for j, u in orbit.items()} for _, orbit in self._chain]
-        return _sift(self._chain, self._inverses, tuple(perm)) == self.identity
+        return _sift(self._chain, tuple(perm)) == self.identity
 
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):
@@ -128,7 +123,9 @@ class PermutationGroup:
         )
 
     def __hash__(self):
-        return hash((self.ground, self.order))
+        # The basic orbits hold only ints and, on the fixed base, depend only
+        # on the group, so the hash does too and is the same in every run.
+        return hash(tuple((b, frozenset(orbit)) for b, orbit in self._chain))
 
     def as_mapping(self, perm) -> dict[str, str]:
         return {self.ground[i]: self.ground[j] for i, j in enumerate(perm)}
@@ -188,6 +185,22 @@ class PermutationGroup:
         return f"PermutationGroup(order={self.order}, ground={list(self.ground)!r})"
 
 
+def _compare(g, h):
+    """By order, then by the lex listings, walked together only as far as
+    their first difference."""
+    if g.order != h.order:
+        return g.order - h.order
+    for a, b in zip(g._lex_elements(), h._lex_elements()):
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+#: Sort key ordering groups by order, then by lex listing.  It is not
+#: ``__lt__``, since ``<`` on groups would read as "subgroup".
+by_order_then_lex = functools.cmp_to_key(_compare)
+
+
 def _compose(g, h):
     """Apply h first, then g."""
     return tuple(map(g.__getitem__, h))
@@ -213,29 +226,33 @@ def _grow_orbit(orbit, gens):
     return orbit
 
 
-def _sift(chain, inverses, perm):
-    """Divide perm by the transversal element of its image at each level,
-    composing with its kept inverse; the residue is the identity iff perm
-    lies in the group."""
-    for (b, _), inverse in zip(chain, inverses):
-        u_inv = inverse.get(perm[b])
-        if u_inv is None:
+def _sift(chain, perm):
+    """Divide perm on the right, level by level: at base point b, perm sends
+    some point i to b, and composing with the transversal element u sending
+    b to i fixes b and the earlier base points.  The residue is the identity
+    iff perm lies in the group."""
+    for b, orbit in chain:
+        u = orbit.get(perm.index(b))
+        if u is None:
             return perm
-        perm = _compose(u_inv, perm)
+        perm = _compose(perm, u)
     return perm
 
 
-def _walk(levels, k, c, out):
-    """Append the elements below node c of level k to out, in lex order.
+def _walk(levels, k, c):
+    """Yield the elements below node c of level k in lex order.
 
     ``levels[k]`` pairs each orbit point j with ``itemgetter(*u)`` for its
-    transversal element u, which maps c to the composite of c and u.
+    transversal element u, which maps c to the composite of c and u.  With
+    the base 0..n-1 the elements below a node share their images of the
+    earlier base points, so visiting the children of c by increasing c(j)
+    lists them in lex order.
     """
     if k == len(levels):
-        out.append(c)
+        yield c
         return
     for _, compose in sorted((c[j], g) for j, g in levels[k]):
-        _walk(levels, k + 1, compose(c), out)
+        yield from _walk(levels, k + 1, compose(c))
 
 
 def _lex_generators(chain, identity):
@@ -280,7 +297,7 @@ def _schreier_sims(n, generators):
     unless it already sifts through the deeper levels.  At the end each
     level's orbit is a transversal of <strong[k]> over <strong[k+1]>.
     Each orbit element's inverse is taken once, when it joins the orbit,
-    and kept for the sifts.
+    and kept for the Schreier generators' residues.
     """
     identity = tuple(range(n))
     chain = [(k, {k: identity}) for k in range(n)]
@@ -289,7 +306,7 @@ def _schreier_sims(n, generators):
     todo = [("add", 0, g) for g in reversed(generators)]
     while todo:
         step, k, g = todo.pop()
-        if step == "add" and _sift(chain[k:], inverses[k:], g) == identity:
+        if step == "add" and _sift(chain[k:], g) == identity:
             continue
         orbit = chain[k][1]
         if step == "add":

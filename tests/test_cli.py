@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -211,6 +212,23 @@ def test_encode_graph_verify_encodes_once(tmp_path, monkeypatch):
     code, out = run_cli("--format", "structured", "encode-graph", str(path))
     assert code == 0 and out == P3_VERIFY[: P3_VERIFY.index("homeo_order")]
     assert len(encoded) == 2
+
+
+def test_encode_graph_verify_sizes_its_point_bound_by_the_vertex_bound(tmp_path):
+    """K9 minus four disjoint edges encodes as 41 points, which the vertex
+    bound of 9 allows (at most 9 + 36 points)."""
+    names = [str(i) for i in range(1, 10)]
+    removed = {("1", "2"), ("3", "4"), ("5", "6"), ("7", "8")}
+    path = tmp_path / "k9_minus_matching.txt"
+    path.write_text(
+        "".join(f"{u} {v}\n" for u, v in itertools.combinations(names, 2) if (u, v) not in removed)
+    )
+    code, out = run_cli(
+        "--format", "structured", "encode-graph", str(path), "--verify", "--max-points", "9"
+    )
+    lines = out.splitlines()
+    assert code == 0
+    assert "points=41" in lines and "homeo_order=384" in lines and "ok=true" in lines
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -20,7 +20,6 @@ from scatterkit.errors import (
 )
 from scatterkit.finite import FiniteSpace, PermutationGroup, cb_data, homeo_group, separation_report
 from scatterkit.graphs import (
-    DEFAULT_MAX_POINTS_FOR_ENCODING,
     DEFAULT_MAX_VERTICES,
     Graph,
     Prop24Report,
@@ -208,7 +207,7 @@ def _verify_prop24_reference(g, max_vertices=DEFAULT_MAX_VERTICES, pairwise_limi
     compare the restriction set with aut's elements, and check composition
     on all pairs when |G| <= pairwise_limit."""
     space = encode(g)
-    group = homeo_group(space, max_points=DEFAULT_MAX_POINTS_FOR_ENCODING)
+    group = homeo_group(space, max_points=space.size)
     auto = aut(g, max_vertices=max_vertices)
     counterexample = None
 
@@ -324,7 +323,16 @@ def test_verify_prop24_rejects_wrong_groups(monkeypatch, wrong_group, flag):
         assert report.counterexample, g
 
 
-def test_verify_prop24_lists_no_homeomorphisms(monkeypatch):
+@pytest.mark.parametrize(
+    "g, max_vertices, order",
+    [
+        (complete(4), DEFAULT_MAX_VERTICES, 24),
+        (petersen(), 10, 120),
+        (complete(7), DEFAULT_MAX_VERTICES, 5040),
+    ],
+    ids=["K4", "petersen", "K7"],
+)
+def test_verify_prop24_lists_no_homeomorphisms(monkeypatch, g, max_vertices, order):
     def unlisted(space, max_points):
         group = homeo_group(space, max_points)
 
@@ -335,8 +343,8 @@ def test_verify_prop24_lists_no_homeomorphisms(monkeypatch):
         return group
 
     monkeypatch.setattr(graphs, "homeo_group", unlisted)
-    report = verify_prop24(complete(7))
-    assert report.ok and report.homeo_order == 5040
+    report = verify_prop24(g, max_vertices=max_vertices)
+    assert report.ok and report.homeo_order == order
 
 
 # Random text, edge lists (most of them graphs the --verify path checks),

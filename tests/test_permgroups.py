@@ -2,7 +2,11 @@
 
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
 from math import factorial
 
@@ -218,6 +222,15 @@ def test_symmetric_group_is_the_discrete_homeo_group():
         )
 
 
+def test_symmetric_group_of_degree_100_is_written_as_its_chain():
+    start = time.perf_counter()
+    group = PermutationGroup.symmetric(range(100))
+    assert time.perf_counter() - start < 0.5
+    assert group.order == factorial(100)
+    assert len(group.generators) == 99
+    assert tuple(reversed(range(100))) in group
+
+
 # --- the Schreier-Sims chain ---------------------------------------------------------
 
 
@@ -241,10 +254,9 @@ def test_schreier_sims_against_closure(case):
     assert group.order == len(closed)
     assert list(group.generators) == _reduce_generators(n, closed)
     chain = _schreier_sims(n, gens)
-    inverses = [{j: _inverse(u) for j, u in orbit.items()} for _, orbit in chain]
     identity = tuple(range(n))
     for g in closed:
-        assert _sift(chain, inverses, g) == identity
+        assert _sift(chain, g) == identity
     for p in probes:
         assert (p in group) == (p in closed)
     if len(closed) <= 720:
@@ -305,6 +317,43 @@ def no_listing(monkeypatch):
         raise AssertionError("elements were listed")
 
     monkeypatch.setattr(permgroups, "_walk", refuse)
+
+
+_COUNT_REMARK19_WORK = """
+from scatterkit import permgroups, verify
+
+counts = {"sift": 0, "eq": 0}
+sift, eq = permgroups._sift, permgroups.PermutationGroup.__eq__
+
+def counted_sift(*args):
+    counts["sift"] += 1
+    return sift(*args)
+
+def counted_eq(*args):
+    counts["eq"] += 1
+    return eq(*args)
+
+permgroups._sift = counted_sift
+permgroups.PermutationGroup.__eq__ = counted_eq
+assert verify.suite_remark19().ok
+print(counts["sift"], counts["eq"])
+"""
+
+
+def test_remark19_work_counts_do_not_depend_on_the_hash_seed():
+    """Groups hash from their basic orbits, which hold only ints, so the
+    dict of candidate groups probes the same way in every interpreter."""
+    counts = []
+    for seed in ("0", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_REMARK19_WORK],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts.append(proc.stdout)
+    assert counts[0] == counts[1]
 
 
 def test_large_groups_answer_without_listing_elements(no_listing):
