@@ -184,7 +184,7 @@ def cmd_fspace(args, out: _Emitter) -> int:
             for i, gen in enumerate(group.generators):
                 out.put(f"generator.{i}", group.cycle_string(gen))
         if args.full_transitivity:
-            report = fin.is_fully_transitive(space, max_points=bound, group=group)
+            report = fin.is_fully_transitive(space, max_points=bound)
             out.put("fully_transitive", report.holds)
             out.put("expected_order", report.expected_order)
             if report.failure:

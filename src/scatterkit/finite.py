@@ -66,9 +66,9 @@ class FiniteSpace:
     ``points`` fixes the reporting order; ``min_open`` maps each point
     name to the member set of its minimal open neighbourhood.  A space is
     fixed once built, so ``cb_data``, ``similarity_partition``,
-    ``homeo_group`` and the direct check of ``is_fully_transitive`` each
-    derive their result once per space object, keep it in ``_derived`` and
-    hand the same object to every later call.
+    ``homeo_group`` and ``is_fully_transitive`` each derive their result
+    once per space object, keep it in ``_derived`` and hand the same object
+    to every later call.
     """
 
     def __init__(self, points, min_open):
@@ -188,6 +188,14 @@ class FiniteSpace:
         return f"FiniteSpace({list(self.points)!r})"
 
 
+def _derive(space, key, compute):
+    """compute(space), run once per space object and kept in its ``_derived``."""
+    derived = space._derived
+    if key not in derived:
+        derived[key] = compute(space)
+    return derived[key]
+
+
 @dataclass(frozen=True)
 class CBData:
     """Derived sequence, per-point ranks and the space rank."""
@@ -204,10 +212,7 @@ def cb_data(space: FiniteSpace) -> CBData:
     A point of a subset A is in A's derived set iff its minimal open set
     meets A in more than the point itself.
     """
-    derived = space._derived
-    if "cb_data" not in derived:
-        derived["cb_data"] = _cb_data(space)
-    return derived["cb_data"]
+    return _derive(space, "cb_data", _cb_data)
 
 
 def _cb_data(space):
@@ -329,10 +334,7 @@ class SimilarityPartition:
 
 
 def similarity_partition(space: FiniteSpace) -> SimilarityPartition:
-    derived = space._derived
-    if "similarity_partition" not in derived:
-        derived["similarity_partition"] = _similarity_partition(space)
-    return derived["similarity_partition"]
+    return _derive(space, "similarity_partition", _similarity_partition)
 
 
 def _similarity_partition(space):
@@ -414,10 +416,7 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
         raise BoundExceededError(
             f"space has {n} points, above the bound of {max_points}; raise max_points to force"
         )
-    derived = space._derived
-    if "homeo_group" not in derived:
-        derived["homeo_group"] = _homeo_group(space)
-    return derived["homeo_group"]
+    return _derive(space, "homeo_group", _homeo_group)
 
 
 def _homeo_group(space):
@@ -440,9 +439,6 @@ def fixator(group: PermutationGroup, names) -> PermutationGroup:
 @dataclass(frozen=True)
 class FullTransitivityReport:
     holds: bool
-    direct_check: bool
-    order_formula: bool
-    group_order: int
     expected_order: int
     failure: tuple[tuple[str, ...], tuple[str, ...]] | None
     group: PermutationGroup = field(compare=False)
@@ -450,9 +446,7 @@ class FullTransitivityReport:
 
 
 def is_fully_transitive(
-    space: FiniteSpace,
-    max_points: int = DEFAULT_MAX_POINTS,
-    group: PermutationGroup | None = None,
+    space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS
 ) -> FullTransitivityReport:
     """Decide full transitivity by two methods that must agree.
 
@@ -487,20 +481,18 @@ def is_fully_transitive(
     n = space.size
     if n > max_points:
         raise BoundExceededError(f"space has {n} points, above the bound of {max_points}")
+    return _derive(space, "full_transitivity", _full_transitivity)
+
+
+def _full_transitivity(space):
     part = similarity_partition(space)
-    if group is None:
-        group = homeo_group(space, max_points=max_points)
+    group = homeo_group(space, max_points=space.size)  # the caller checked the bound
     expected = 1
     for block in part.blocks:
         expected *= factorial(len(block))
     order_ok = group.order == expected
-
-    derived = space._derived
-    if "direct_failure" not in derived:
-        derived["direct_failure"] = _direct_failure(space, part)
-    failure = derived["direct_failure"]
+    failure = _direct_failure(space, part)
     direct_ok = failure is None
-
     if direct_ok != order_ok:
         raise InternalCheckError(
             f"full-transitivity methods disagree: direct={direct_ok}, "
@@ -508,9 +500,6 @@ def is_fully_transitive(
         )
     return FullTransitivityReport(
         holds=direct_ok,
-        direct_check=direct_ok,
-        order_formula=order_ok,
-        group_order=group.order,
         expected_order=expected,
         failure=failure,
         group=group,

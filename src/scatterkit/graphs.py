@@ -218,7 +218,6 @@ class Prop24Report:
     aut_order: int
     restriction_injective: bool
     restriction_image_is_aut: bool
-    restriction_is_isomorphism: bool
     derived_is_edges: bool
     second_derived_empty: bool
     closures_match: bool
@@ -227,11 +226,13 @@ class Prop24Report:
     counterexample: str | None = None
 
     @property
+    def restriction_is_isomorphism(self) -> bool:
+        return self.restriction_injective and self.restriction_image_is_aut
+
+    @property
     def ok(self) -> bool:
         return (
-            self.restriction_injective
-            and self.restriction_image_is_aut
-            and self.restriction_is_isomorphism
+            self.restriction_is_isomorphism
             and self.derived_is_edges
             and self.second_derived_empty
             and self.closures_match
@@ -329,7 +330,6 @@ def verify_prop24(
         aut_order=auto.order,
         restriction_injective=injective,
         restriction_image_is_aut=image_is_aut,
-        restriction_is_isomorphism=injective and image_is_aut,
         derived_is_edges=derived_is_edges,
         second_derived_empty=second_empty,
         closures_match=closures_match,

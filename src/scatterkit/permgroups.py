@@ -145,26 +145,31 @@ class PermutationGroup:
         return "".join(parts) if parts else "id"
 
     def pointwise_stabiliser(self, points) -> PermutationGroup:
-        """The subgroup fixing each of the given point indices.
+        """The subgroup G_(P) fixing each of the given point indices P,
+        read off the tail of one chain (Seress, Permutation Group
+        Algorithms, 2003, 4.1).
 
-        The generators are conjugated by a relabelling that puts the points
-        first, so Schreier-Sims builds a chain whose levels past them
-        generate their pointwise stabiliser; those transversal elements,
-        conjugated back, generate the answer on the natural base.
+        Relabel so that P comes first, sorted, then the other points in
+        increasing order, and build the chain of the relabelled group.  Past
+        P, its level k acts in the stabiliser of P and of every point below
+        b = back[k], the point that label k stands for, which is G_(P)'s
+        level b on the natural base; mapped back, its transversal elements
+        are that level's.  When P is 0..k-1 the relabelling is the
+        identity, and the tail of this group's own chain is read.
         """
         n = len(self.ground)
-        first = dict.fromkeys(points)
-        back = (*first, *(i for i in range(n) if i not in first))  # new label -> old
-        to = _inverse(back)
-        chain = _schreier_sims(n, [_compose(to, _compose(g, back)) for g in self.generators])
-        tail = [
-            _compose(back, _compose(u, to))
-            for b, orbit in chain
-            if b >= len(first)
-            for j, u in orbit.items()
-            if j != b
-        ]
-        return PermutationGroup._from_chain(self.ground, _schreier_sims(n, tail))
+        fixed = set(points)
+        back = (*sorted(fixed), *(i for i in range(n) if i not in fixed))  # new label -> old
+        chain = self._chain
+        if back != self.identity:
+            to = _inverse(back)
+            relabelled = [_compose(to, _compose(g, back)) for g in self.generators]
+            chain = [
+                (back[k], {back[j]: _compose(back, _compose(u, to)) for j, u in orbit.items()})
+                for k, orbit in _schreier_sims(n, relabelled)
+            ]
+        tail = [(b, orbit) for b, orbit in chain if b not in fixed]
+        return PermutationGroup._from_chain(self.ground, tail)
 
     def is_normal(self, sub: PermutationGroup) -> bool:
         """Whether each generator g of self normalises sub.  Conjugation by

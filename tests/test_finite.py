@@ -40,7 +40,7 @@ from scatterkit.finite import (
     swap_homeo,
     verify_remark19,
 )
-from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
+from scatterkit.verify import chain_space, discrete_space, double_fan_space, run_suite, star_space
 
 from element_groups import group_from_elements
 from spaces import layered_space
@@ -260,15 +260,22 @@ def test_bounds_are_checked_before_the_stored_result():
         homeo_group(space, max_points=4)
     with pytest.raises(BoundExceededError):
         is_fully_transitive(space, max_points=4)
-    with pytest.raises(BoundExceededError):
-        is_fully_transitive(space, max_points=4, group=homeo_group(space))
 
 
-def test_order_formula_reads_the_group_argument():
-    space = discrete_space(3)
-    assert is_fully_transitive(space).holds
+def test_order_formula_reads_the_group_argument(monkeypatch):
+    """The order formula reads the homeomorphism group's chain, so a wrong
+    chain shows as a disagreement with the direct check."""
+    assert is_fully_transitive(discrete_space(3)).holds
+    monkeypatch.setattr(finite, "_stabiliser_chain", lambda masks, cand: [])
     with pytest.raises(InternalCheckError, match="disagree"):
-        is_fully_transitive(space, group=PermutationGroup.trivial(space.points))
+        is_fully_transitive(discrete_space(3))
+
+
+def test_verify_records_a_transitivity_disagreement_as_a_failure(monkeypatch):
+    monkeypatch.setattr(finite, "_stabiliser_chain", lambda masks, cand: [])
+    [result] = run_suite("full-transitivity")
+    assert not result.ok
+    assert "FAIL - direct tuple check agrees with the order formula on every T0 space, n=2" in result.lines
 
 
 def test_each_request_derives_the_space_data_once(tmp_path, monkeypatch):
@@ -481,7 +488,7 @@ def test_full_transitivity_examples():
     report = is_fully_transitive(two_fans())
     assert not report.holds
     assert report.failure == (("a1",), ("b1",))
-    assert report.group_order == 12
+    assert report.group.order == 12
     assert report.expected_order == factorial(5)
 
 
@@ -489,7 +496,7 @@ def test_full_transitivity_methods_agree_exhaustively():
     for n in range(0, 5):
         for space in enumerate_t0_spaces(n):
             report = is_fully_transitive(space)
-            assert report.direct_check == report.order_formula
+            assert report.holds == (report.group.order == report.expected_order)
 
 
 def _direct_check_reference(space, group, part):
@@ -535,20 +542,20 @@ def test_direct_check_matches_reference():
     for space in spaces:
         report = is_fully_transitive(space)
         holds, failure = _direct_check_reference(space, report.group, report.partition)
-        assert (report.direct_check, report.failure) == (holds, failure), space.to_text()
+        assert (report.holds, report.failure) == (holds, failure), space.to_text()
 
 
 def test_full_transitivity_of_discrete_eight():
     report = is_fully_transitive(discrete_space(8), max_points=8)
-    assert report.holds and report.group_order == factorial(8)
+    assert report.holds and report.group.order == factorial(8)
 
 
 def test_full_transitivity_at_default_bounds():
     # the direct check pins stabilisers instead of walking the n!-sized tuple sets
     report = is_fully_transitive(chain_space(10))
-    assert report.holds and report.group_order == 1
+    assert report.holds and report.group.order == 1
     report = is_fully_transitive(layered_space((3, 3, 3, 3)))
-    assert report.holds and report.group_order == factorial(3) ** 4 == 1296
+    assert report.holds and report.group.order == factorial(3) ** 4 == 1296
 
 
 # --- swaps -------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from scatterkit._kernels import isomorphisms
 from scatterkit.cli import main
 from scatterkit.errors import BoundExceededError
 from scatterkit.finite import (
+    FiniteSpace,
     enumerate_preorder_spaces,
     enumerate_t0_spaces,
     fixator,
@@ -84,6 +85,25 @@ def _is_normal_reference(group, sub):
             if _compose(g, _compose(h, g_inv)) not in sub_set:
                 return False
     return True
+
+
+def _pointwise_stabiliser_reference(group, points):
+    """The pointwise stabiliser by two Schreier-Sims runs: one on the
+    generators relabelled so that the points come first, and one on the
+    transversal elements of its levels past them, relabelled back."""
+    n = len(group.ground)
+    first = dict.fromkeys(points)
+    back = (*first, *(i for i in range(n) if i not in first))  # new label -> old
+    to = _inverse(back)
+    chain = _schreier_sims(n, [_compose(to, _compose(g, back)) for g in group.generators])
+    tail = [
+        _compose(back, _compose(u, to))
+        for b, orbit in chain
+        if b >= len(first)
+        for j, u in orbit.items()
+        if j != b
+    ]
+    return PermutationGroup._from_chain(group.ground, _schreier_sims(n, tail))
 
 
 def _assert_matches(group, elements):
@@ -263,6 +283,71 @@ def test_schreier_sims_against_closure(case):
         _assert_matches(PermutationGroup._from_chain(range(n), chain), closed)
 
 
+# --- pointwise stabilisers --------------------------------------------------------
+
+
+@st.composite
+def small_spaces(draw):
+    """A labelled preorder on at most 7 points: random minimal open sets,
+    closed under transitivity."""
+    n = draw(st.integers(0, 7))
+    masks = [draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if masks[i] >> k & 1:
+                masks[i] |= masks[k]
+    names = [f"p{i}" for i in range(n)]
+    opens = {names[i]: {names[j] for j in range(n) if masks[i] >> j & 1} for i in range(n)}
+    return FiniteSpace(names, opens)
+
+
+@st.composite
+def stabiliser_cases(draw):
+    named = st.sampled_from([discrete_space(12), layered_space((4, 3))])
+    space = draw(st.one_of(small_spaces(), named))
+    n = space.size
+    points = draw(st.one_of(
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=n + 2) if n else st.just([]),
+        st.permutations(range(n)),
+    ))
+    return homeo_group(space), list(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stabiliser_cases())
+@example((PermutationGroup.symmetric(range(5)), []))
+@example((PermutationGroup.symmetric(range(5)), [3, 1, 3]))
+@example((PermutationGroup.symmetric(range(5)), [4, 2, 0, 1, 3]))
+def test_pointwise_stabiliser_matches_the_two_run_reference(case):
+    group, points = case
+    got = group.pointwise_stabiliser(points)
+    want = _pointwise_stabiliser_reference(group, points)
+    assert [(b, set(o)) for b, o in got._chain] == [(b, set(o)) for b, o in want._chain]
+    assert got.generators == want.generators
+    for b, orbit in got._chain:
+        for j, u in orbit.items():
+            assert u[b] == j
+            assert all(u[i] == i for i in (*points, *range(b)))
+
+
+def test_pointwise_stabiliser_runs_schreier_sims_at_most_once(monkeypatch):
+    group = homeo_group(discrete_space(30), max_points=30)
+    calls = []
+    real = permgroups._schreier_sims
+
+    def counted(n, generators):
+        calls.append(n)
+        return real(n, generators)
+
+    monkeypatch.setattr(permgroups, "_schreier_sims", counted)
+    # a prefix of the base: the tail of the group's own chain
+    assert group.pointwise_stabiliser([1, 0]).order == factorial(28)
+    assert fixator(group, ["p1"]).order == factorial(29)
+    assert calls == []
+    assert fixator(group, ["p30", "p4"]).order == factorial(28)
+    assert calls == [30]
+
+
 # --- normal subgroups ---------------------------------------------------------------
 
 
@@ -364,8 +449,8 @@ def test_large_groups_answer_without_listing_elements(no_listing):
     assert group == other and hash(group) == hash(other)
     assert group == PermutationGroup.symmetric(space.points)
     assert len(group.generators) == 11
-    report = is_fully_transitive(space, group=group)
-    assert report.holds and report.group_order == factorial(12)
+    report = is_fully_transitive(space)
+    assert report.holds and report.group is group
     with pytest.raises(BoundExceededError, match="above the cap of 1000000"):
         group.elements
 
