@@ -9,14 +9,16 @@ permutations h with h(U_x) = U_{h(x)}.
 The module computes Cantor-Bendixson data, similarity classes, the full
 homeomorphism group (as a stabiliser chain from pinned searches),
 fixators, full transitivity by two independent methods, swap witnesses,
-and the normal subgroup lattice of small permutation groups.
+and the normal subgroup lattice: in closed form for a product of
+symmetric groups, by a search over conjugacy classes for other small
+groups.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from ._kernels import _bits, candidates, isomorphisms, pure, settled
@@ -58,6 +60,9 @@ __all__ = [
 
 DEFAULT_MAX_POINTS = 12
 DEFAULT_MAX_GROUP_ORDER = 40320
+#: Cap on the normal subgroups the closed-form census builds, checked
+#: against their count before any is built.
+MAX_CENSUS = 4096
 
 
 class FiniteSpace:
@@ -698,6 +703,162 @@ def normal_subgroups(
 ) -> list[PermutationGroup]:
     """All normal subgroups, by order and then by lex listing.
 
+    A group that is the product of the symmetric groups on its orbits, as
+    the homeomorphism group of a fully transitive space is, has them in
+    closed form (``_closed_form_census``): no element is listed, and the
+    only bound is ``MAX_CENSUS`` on their number, checked before any is
+    built.  Any other group is searched as the closed sets of its
+    conjugacy classes (``_class_mask_census``), within ``max_order``.
+    """
+    orbits = _product_orbits(group)
+    if orbits is None:
+        return _class_mask_census(group, max_order)
+    if not orbits:  # the trivial group, a rigid space's
+        return [group]
+    return sorted((sub for sub, _ in _closed_form_census(group, orbits)), key=by_order_then_lex)
+
+
+def _product_orbits(group):
+    """The orbits of more than one point, as sorted index lists, when the
+    group is the product of the symmetric groups on its orbits, else None.
+    Every group lies in that product, so it is the product exactly when its
+    order is the product of the orbit sizes' factorials."""
+    gens = group.generators
+    seen, orbits = set(), []
+    for g in gens:
+        for p, q in enumerate(g):
+            if p != q and p not in seen:
+                seen.add(p)
+                orbit = [p]
+                for x in orbit:
+                    for h in gens:
+                        if h[x] not in seen:
+                            seen.add(h[x])
+                            orbit.append(h[x])
+                orbits.append(sorted(orbit))
+    if group.order != prod(factorial(len(orbit)) for orbit in orbits):
+        return None
+    return sorted(orbits)
+
+
+def _orbit_roles(n):
+    """(role, order, index 2) for each normal subgroup of Sym(n), named by
+    its ``_role_generators`` role.  For n >= 2 exactly one has index 2: the
+    trivial group for n = 2, else the alternating group."""
+    roles = [("J", 1, n == 2), ("free", factorial(n), False)]
+    if n >= 3:
+        roles.append(("K", factorial(n) // 2, True))
+    if n == 4:
+        roles.append(("L", 4, False))
+    return roles
+
+
+def _unit_free_bases(t):
+    """The reduced echelon basis, as bitmasks, of each subspace of F_2^t
+    that holds no unit vector.
+
+    A subspace has one such basis, and a vector in it is fixed by its
+    coordinates on the pivot columns, so it holds e_j exactly when j is a
+    pivot whose row is e_j.  Scanning the columns from the last, each is
+    either a non-pivot or a pivot whose row adds a nonempty subset of the
+    non-pivot columns after it.
+    """
+
+    def scan(c, free, rows):
+        if c < 0:
+            yield rows
+            return
+        yield from scan(c - 1, free + [1 << c], rows)
+        for subset in range(1, 1 << len(free)):
+            row = 1 << c | sum(bit for k, bit in enumerate(free) if subset >> k & 1)
+            yield from scan(c - 1, free, rows + [row])
+
+    return scan(t - 1, [], [])
+
+
+def _unit_free_count(t):
+    """How many bases ``_unit_free_bases(t)`` yields, by its scan: ways[m]
+    counts the echelon forms of the columns scanned so far that have m
+    non-pivots, and a pivot column has 2^m - 1 rows to choose from."""
+    ways = [1]
+    for _ in range(t):
+        ways = [w * ((1 << m) - 1) + (ways[m - 1] if m else 0) for m, w in enumerate(ways + [0])]
+    return sum(ways)
+
+
+def _census_size(orbits):
+    """The number of normal subgroups of prod Sym(O_i): the sum over role
+    choices of ``_unit_free_count(|T|)``.  Each orbit has one index-2 role,
+    so the role choices with |T| = t are the x^t coefficient of the
+    product over the orbits of (the number of other roles + x)."""
+    poly = [1]
+    for orbit in orbits:
+        others = len(_orbit_roles(len(orbit))) - 1
+        poly = [a * others + b for a, b in zip(poly + [0], [0] + poly)]
+    return sum(c * _unit_free_count(t) for t, c in enumerate(poly))
+
+
+def _closed_form_census(group, orbits):
+    """Every normal subgroup N of G = prod Sym(O_i), with the dimension of
+    its D, on the orbits ``_product_orbits`` returned.
+
+    N_i = N meet Sym(O_i) is normal in Sym(O_i), so it is 1, A_n, V_4 or
+    S_n, and N / prod N_i is central in prod Sym(O_i) / N_i, whose centre
+    is F_2^T on the orbits T where N_i has index 2.  So N is a choice of
+    the N_i and a subspace D of F_2^T holding no unit vector (a unit vector
+    would enlarge N_i), and each basis vector of D adds the transposition
+    (o0 o1) of every orbit in its support (Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, 2005, 3.3).  The census is counted and
+    bounded first.  N = G and N = 1 are the group itself and the trivial
+    group.  Every other N is built from its generators: its order must be
+    prod |N_i| 2^dim D, it must be normal, and it must not hold (o0 o1) for
+    an orbit of T, so that it meets each Sym(O_i) in N_i and no two choices
+    give the same N.
+    """
+    count = _census_size(orbits)
+    if count > MAX_CENSUS:
+        raise BoundExceededError(
+            f"the group has {count} normal subgroups, above the bound of {MAX_CENSUS} "
+            "on building them"
+        )
+    n = len(group.ground)
+    census = []
+    for choice in itertools.product(*(_orbit_roles(len(orbit)) for orbit in orbits)):
+        roles = [role for role, _, _ in choice]
+        base = [g for role, orbit in zip(roles, orbits) for g in _role_generators(role, orbit, n)]
+        base_order = prod(size for _, size, _ in choice)
+        signs = [orbit[:2] for (_, _, two), orbit in zip(choice, orbits) if two]
+        for rows in _unit_free_bases(len(signs)):
+            if not rows and all(role == "free" for role in roles):
+                sub = group
+            elif not rows and all(role == "J" for role in roles):
+                sub = PermutationGroup.trivial(group.ground)
+            else:
+                gens = base + [_perm_of_cycles([signs[k] for k in _bits(row)], n) for row in rows]
+                sub = PermutationGroup.from_generators(group.ground, gens)
+                order = base_order << len(rows)
+                if sub.order != order:
+                    raise InternalCheckError(
+                        f"normal subgroup of order {sub.order} does not match its closed-form "
+                        f"order {order}"
+                    )
+                if not group.is_normal(sub):
+                    raise InternalCheckError(f"subgroup of order {sub.order} is not normal")
+                for sign in signs:
+                    swap = _perm_of_cycles([sign], n)
+                    if swap in sub:
+                        raise InternalCheckError(
+                            f"subgroup of order {sub.order} holds the transposition "
+                            f"{group.cycle_string(swap)} of an index-2 orbit"
+                        )
+            census.append((sub, len(rows)))
+    return census
+
+
+def _class_mask_census(group, max_order):
+    """All normal subgroups of any group within ``max_order``, by order and
+    then by lex listing.
+
     A normal subgroup is a union of conjugacy classes that holds the
     identity and is closed under products (Holt, Eick & O'Brien, Handbook
     of Computational Group Theory, 2005), so the lattice is searched on
@@ -797,14 +958,16 @@ def _role_generators(role, block, n):
         "L": [[block[0:2], block[2:4]], [block[0::2], block[1::2]]],
         "J": [],
     }
-    gens = []
-    for gen in cycles[role]:
-        perm = list(range(n))
-        for cycle in gen:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                perm[a] = b
-        gens.append(tuple(perm))
-    return gens
+    return [_perm_of_cycles(gen, n) for gen in cycles[role]]
+
+
+def _perm_of_cycles(cycles, n):
+    """The permutation of n points made of the given disjoint cycles."""
+    perm = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+    return tuple(perm)
 
 
 def verify_remark19(
@@ -820,6 +983,9 @@ def verify_remark19(
     full transitivity gives |G| = prod |B_i|! and G preserves each block,
     so G = prod Sym(B_i); each generator is still checked to lie in G.
     Assignments giving the same group are merged under the lex-least one.
+    The normal subgroups come from the class-mask search, and the closed
+    form must agree on both sides: its D = 0 subgroups are the candidates,
+    its others the off-list ones, and together they are the search's list.
     """
     ft = is_fully_transitive(space, max_points=max_points)
     if not ft.holds:
@@ -829,15 +995,7 @@ def verify_remark19(
     blocks = part.blocks
     block_idx = [tuple(space.index(p) for p in block) for block in blocks]
 
-    role_choices = []
-    for block in blocks:
-        roles = ["free", "J"]
-        if len(block) >= 3:
-            roles.append("K")
-        if len(block) == 4:
-            roles.append("L")
-        role_choices.append(roles)
-
+    role_choices = [[role for role, _, _ in _orbit_roles(len(block))] for block in blocks]
     by_group: dict[PermutationGroup, list[tuple[str, ...]]] = {}
     for assignment in itertools.product(*role_choices):
         gens = [
@@ -857,11 +1015,21 @@ def verify_remark19(
         ((min(labels), cand) for cand, labels in by_group.items()),
         key=lambda c: by_order_then_lex(c[1]),
     )
-    normal = normal_subgroups(group, max_order=max_order)
+    normal = _class_mask_census(group, max_order)
     off_list = tuple(g for g in normal if g not in by_group)
     non_normal = tuple(
         cand for _, cand in candidates if not group.is_normal(cand)
     )
+    orbits = _product_orbits(group)
+    if orbits is None:
+        raise InternalCheckError("the group of a fully transitive space is not a product")
+    census = _closed_form_census(group, orbits)
+    if {sub for sub, dim in census if not dim} != set(by_group):
+        raise InternalCheckError("the closed form's D = 0 subgroups are not the candidates")
+    if {sub for sub, dim in census if dim} != set(off_list):
+        raise InternalCheckError("the closed form's D != 0 subgroups are not the off-list ones")
+    if sorted((sub for sub, _ in census), key=by_order_then_lex) != normal:
+        raise InternalCheckError("the closed-form census differs from the class-mask search")
     return Remark19Report(
         candidates=tuple(candidates),
         normal=tuple(normal),

@@ -191,14 +191,59 @@ class PermutationGroup:
 
 
 def _compare(g, h):
-    """By order, then by the lex listings, walked together only as far as
-    their first difference."""
+    """By order, then by the lex listings, compared as far as their first
+    difference, one coset of a shared stabiliser at a time.
+
+    Let S be the stabiliser the two chains share at their deepest levels
+    (``_shared_tail``).  Each listing is the left cosets c S, each sorted,
+    one after another in the order of their least elements, and distinct
+    cosets are disjoint; so the listings first differ where the least
+    elements of their cosets first do.  Each listing begins with the cosets
+    in its own stabiliser one level above S, and those stabilisers differ,
+    so that happens within n + 1 cosets and no cap on listing is needed.
+    """
     if g.order != h.order:
         return g.order - h.order
-    for a, b in zip(g._lex_elements(), h._lex_elements()):
+    shared = _shared_tail(g._chain, h._chain, g.identity)
+    leasts = (_coset_leasts(chain, len(chain) - shared, g.identity) for chain in (g._chain, h._chain))
+    for a, b in zip(*leasts):
         if a != b:
             return -1 if a < b else 1
     return 0
+
+
+def _shared_tail(chain, other, identity):
+    """How many of the deepest levels of the two chains make the same group:
+    levels on the same base points, with the same orbits, whose transversal
+    elements in ``other`` sift through ``chain``'s levels from there on.
+    The groups of the deeper levels are already equal, so this shows the
+    one from ``other`` lies in the one from ``chain``, with the same order."""
+    shared = 0
+    for (b, orbit), (c, theirs) in zip(reversed(chain), reversed(other)):
+        tail = chain[len(chain) - shared - 1:]
+        if b != c or orbit.keys() != theirs.keys():
+            break
+        if any(_sift(tail, u) != identity for u in theirs.values()):
+            break
+        shared += 1
+    return shared
+
+
+def _coset_leasts(chain, cut, identity):
+    """The least element of each left coset c S, in lex order, where S is
+    the group of the chain's levels from ``cut`` on and the walk over the
+    levels above gives the representatives c."""
+    levels = [[(j, itemgetter(*u)) for j, u in orbit.items()] for _, orbit in chain[:cut]]
+    for c in _walk(levels, 0, identity):
+        yield _least_below(c, chain[cut:])
+
+
+def _least_below(c, levels):
+    """The lex-least of the elements below node c of the walk over
+    ``levels``: at each level, the child with the least image."""
+    for _, orbit in levels:
+        c = _compose(c, orbit[min(orbit, key=c.__getitem__)])
+    return c
 
 
 #: Sort key ordering groups by order, then by lex listing.  It is not
@@ -281,9 +326,7 @@ def _lex_generators(chain, identity):
         b, orbit = chain[k]
         reached = _grow_orbit({b: identity}, gens)
         while len(reached) < len(orbit):
-            c = orbit[min(j for j in orbit if j not in reached)]
-            for _, deeper in chain[k + 1:]:
-                c = _compose(c, deeper[min(deeper, key=c.__getitem__)])
+            c = _least_below(orbit[min(j for j in orbit if j not in reached)], chain[k + 1:])
             gens.append(c)
             _grow_orbit(reached, gens)
     return gens

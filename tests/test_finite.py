@@ -43,7 +43,7 @@ from scatterkit.finite import (
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, run_suite, star_space
 
 from element_groups import group_from_elements
-from spaces import layered_space
+from spaces import fan_forest, layered_space
 
 CHAIN3 = FiniteSpace(("a", "b", "c"), {"a": {"a"}, "b": {"b"}, "c": {"a", "b", "c"}})
 
@@ -635,9 +635,35 @@ def test_normal_subgroups_trivial():
 
 
 def test_normal_subgroup_bound():
-    group = homeo_group(discrete_space(5))
-    with pytest.raises(BoundExceededError):
-        normal_subgroups(group, max_order=100)
+    """Two fans of six leaves: the fans swap, so the group is not the product
+    of the symmetric groups on its orbits, and the class-mask search
+    refuses its order."""
+    group = homeo_group(fan_forest((6, 6)), max_points=14)
+    assert group.order == 1036800
+    with pytest.raises(BoundExceededError, match="^group order 1036800 is above the bound of 40320$"):
+        normal_subgroups(group)
+
+
+def test_closed_form_census_is_bounded_by_its_size(monkeypatch, tmp_path):
+    """Seven layers of two points: 29212 normal subgroups, every subspace of
+    F_2^7, counted and refused before any is built."""
+    space = layered_space((2,) * 7)
+    group = homeo_group(space, max_points=14)
+    message = "the group has 29212 normal subgroups, above the bound of 4096 on building them"
+    assert finite.MAX_CENSUS == 4096
+    path = tmp_path / "layers.txt"
+    path.write_text(space.to_text())
+
+    def refuse(*args):
+        raise AssertionError("a subgroup was built")
+
+    monkeypatch.setattr(PermutationGroup, "from_generators", refuse)
+    with pytest.raises(BoundExceededError, match=f"^{message}$"):
+        normal_subgroups(group)
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        code = cli.main(["fspace", str(path), "--normal", "--max-points", "14"])
+    assert code == 1 and stderr.getvalue() == f"error: {message}\n"
 
 
 def test_normal_subgroups_check_orders_against_the_classes(monkeypatch):
@@ -652,7 +678,7 @@ def test_normal_subgroups_check_orders_against_the_classes(monkeypatch):
     for wrong, order in ((merged, 1), (split, 3)):
         monkeypatch.setattr(finite, "conjugacy_classes", lambda g, wrong=wrong: wrong)
         with pytest.raises(InternalCheckError, match=f"order {order} does not match"):
-            normal_subgroups(group)
+            finite._class_mask_census(group, finite.DEFAULT_MAX_GROUP_ORDER)
 
 
 def _s4_classes_split_or_merged(kind):
@@ -681,7 +707,7 @@ def test_normal_subgroups_check_results_against_the_group(monkeypatch, kind, mes
     wrong = _s4_classes_split_or_merged(kind)
     monkeypatch.setattr(finite, "conjugacy_classes", lambda g: wrong)
     with pytest.raises(InternalCheckError, match=message):
-        normal_subgroups(group)
+        finite._class_mask_census(group, finite.DEFAULT_MAX_GROUP_ORDER)
 
 
 def test_normal_subgroups_of_a_layered_space_in_seconds():

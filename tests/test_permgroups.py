@@ -9,15 +9,16 @@ import sys
 import time
 from contextlib import redirect_stdout
 from math import factorial
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scatterkit import permgroups
+from scatterkit import finite, permgroups
 from scatterkit._kernels import isomorphisms
 from scatterkit.cli import main
-from scatterkit.errors import BoundExceededError
+from scatterkit.errors import BoundExceededError, InternalCheckError
 from scatterkit.finite import (
     FiniteSpace,
     enumerate_preorder_spaces,
@@ -367,6 +368,145 @@ def test_normal_subgroups_match_element_closure_reference():
         assert [sub.sorted_elements() for sub in got] == [sub.sorted_elements() for sub in want]
 
 
+def _preorder_space(n, bits):
+    """The space of the preorder generated by the relation ``bits``, n by n:
+    each point's minimal open set is the points below it."""
+    below = [1 << i | sum(1 << j for j in range(n) if bits[i * n + j]) for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    names = [f"q{i}" for i in range(n)]
+    return FiniteSpace(names, {names[i]: {names[j] for j in range(n) if below[i] >> j & 1} for i in range(n)})
+
+
+_product_spaces = st.one_of(
+    st.integers(1, 7).map(discrete_space),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3).map(layered_space),
+    st.sets(st.integers(1, 5), min_size=1, max_size=3).map(lambda widths: fan_forest(sorted(widths))),
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+            lambda bits: _preorder_space(n, bits)
+        )
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_product_spaces)
+def test_closed_form_census_matches_the_class_mask_search(tmp_path_factory, space):
+    group = homeo_group(space, max_points=20)
+    orbits = finite._product_orbits(group)
+    assume(orbits is not None and group.order <= finite.DEFAULT_MAX_GROUP_ORDER)
+    got = normal_subgroups(group)
+    want = finite._class_mask_census(group, finite.DEFAULT_MAX_GROUP_ORDER)
+    assert len(got) == finite._census_size(orbits)
+    assert [sub.order for sub in got] == [sub.order for sub in want]
+    assert got == want
+    assert [sub.generators for sub in got] == [sub.generators for sub in want]
+    path = tmp_path_factory.mktemp("census") / "space.txt"
+    path.write_text(space.to_text())
+    argv = ("--format", "structured", "fspace", str(path), "--normal", "--max-points", "20")
+    closed = run_cli(*argv)
+    with mock.patch.object(finite, "normal_subgroups", lambda g: want):
+        assert run_cli(*argv) == closed
+
+
+def test_groups_that_are_not_products_keep_the_class_mask_search(monkeypatch):
+    calls = []
+    search = finite._class_mask_census
+
+    def counted(group, max_order):
+        calls.append(group.order)
+        return search(group, max_order)
+
+    monkeypatch.setattr(finite, "_class_mask_census", counted)
+    for widths in ((2, 2), (3, 3), (2, 2, 2)):
+        normal_subgroups(homeo_group(fan_forest(widths)))
+    normal_subgroups(homeo_group(layered_space((3, 2))))
+    normal_subgroups(homeo_group(discrete_space(5)))
+    assert calls == [8, 72, 48]
+
+
+def _wrong_roles(wrong_role, wrong_cycles):
+    roles = finite._role_generators
+
+    def role_generators(role, block, n):
+        if role != wrong_role:
+            return roles(role, block, n)
+        return [finite._perm_of_cycles([cycle], n) for cycle in wrong_cycles(block)]
+
+    return role_generators
+
+
+@pytest.mark.parametrize(
+    "role, cycles, message",
+    [
+        # (b0 b1) alone for A_4: order 2 where 12 was claimed
+        ("K", lambda block: [block[:2]], "^normal subgroup of order 2 does not match its closed-form order 12$"),
+        # (b0 b1) and (b2 b3) for V_4: the right order, but not normal
+        ("L", lambda block: [block[:2], block[2:4]], "^subgroup of order 4 is not normal$"),
+    ],
+)
+def test_closed_form_checks_the_role_generators(monkeypatch, role, cycles, message):
+    monkeypatch.setattr(finite, "_role_generators", _wrong_roles(role, cycles))
+    with pytest.raises(InternalCheckError, match=message):
+        normal_subgroups(homeo_group(discrete_space(4)))
+
+
+@pytest.mark.parametrize(
+    "space, extra, message",
+    [
+        # e_1 for S_3's alternating group: A_3 and (p1 p2) make S_3, of the
+        # claimed order 6 and normal, but another role choice's subgroup
+        (discrete_space(3), {1: [[1]]}, r"^subgroup of order 6 holds the transposition \(p1 p2\) of an index-2 orbit$"),
+        # a repeated basis row: one sign diagonal, half the claimed order
+        (layered_space((2, 2)), {2: [[3, 3]]}, "^normal subgroup of order 2 does not match its closed-form order 4$"),
+    ],
+)
+def test_closed_form_checks_the_subspaces(monkeypatch, space, extra, message):
+    bases = finite._unit_free_bases
+    monkeypatch.setattr(finite, "_unit_free_bases", lambda t: [*bases(t), *extra.get(t, [])])
+    with pytest.raises(InternalCheckError, match=message):
+        normal_subgroups(homeo_group(space))
+
+
+def test_closed_form_census_above_the_class_mask_bound(monkeypatch):
+    """Products of symmetric groups far above 40320 answer, with no element
+    listed; layered (4, 4, 4) in under a second."""
+
+    def refuse(self):
+        raise AssertionError("elements were listed")
+
+    monkeypatch.setattr(PermutationGroup, "_lex_elements", refuse)
+    group = homeo_group(discrete_space(12))
+    assert [sub.order for sub in normal_subgroups(group)] == [1, factorial(12) // 2, factorial(12)]
+    for sizes, count in (((4, 4, 5), 61), ((5, 5, 5), 38), ((6, 6, 6), 38)):
+        group = homeo_group(layered_space(sizes), max_points=18)
+        subs = normal_subgroups(group)
+        assert len(subs) == count and subs[0].order == 1 and subs[-1] is group
+    group = homeo_group(layered_space((4, 4, 4)))
+    start = time.perf_counter()
+    assert len(normal_subgroups(group)) == 78
+    assert time.perf_counter() - start < 1
+
+
+def test_group_ordering_matches_the_listings():
+    """``by_order_then_lex`` compares coset by coset of a shared stabiliser;
+    the reference compares the whole lex listings."""
+    s4 = PermutationGroup.symmetric(range(4))
+    groups = {frozenset(_close(4, [a, b])) for a, b in itertools.combinations(s4.sorted_elements(), 2)}
+    cases = [[group_from_elements(range(4), elements) for elements in groups]]
+    rng = random.Random(5)
+    for n in (5, 6):
+        gens = [[tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 2))] for _ in range(40)]
+        cases.append([PermutationGroup.from_generators(range(n), g) for g in gens])
+    cases.append(normal_subgroups(homeo_group(layered_space((2, 3, 2)))))
+    for case in cases:
+        got = sorted(case, key=permgroups.by_order_then_lex)
+        assert got == sorted(case, key=lambda sub: (sub.order, sub.sorted_elements()))
+
+
 # --- normality ----------------------------------------------------------------------
 
 
@@ -493,8 +633,10 @@ def test_fspace_group_at_twelve_points(tmp_path):
 
 
 def test_fspace_normal_refuses_large_groups(tmp_path, capsys):
-    path = tmp_path / "discrete10.txt"
-    path.write_text(discrete_space(10).to_text())
-    code, _ = run_cli("--format", "structured", "fspace", str(path), "--normal")
+    """Two fans of six leaves that swap: not a product of symmetric groups,
+    so the class-mask search's order bound applies."""
+    path = tmp_path / "fans66.txt"
+    path.write_text(fan_forest((6, 6)).to_text())
+    code, _ = run_cli("--format", "structured", "fspace", str(path), "--normal", "--max-points", "14")
     assert code == 1
-    assert capsys.readouterr().err == "error: group order 3628800 is above the bound of 40320\n"
+    assert capsys.readouterr().err == "error: group order 1036800 is above the bound of 40320\n"
