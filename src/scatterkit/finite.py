@@ -693,14 +693,7 @@ def conjugacy_classes(group: PermutationGroup) -> list[frozenset[tuple[int, ...]
     return classes
 
 
-def _check_order(group, max_order):
-    if group.order > max_order:
-        raise BoundExceededError(f"group order {group.order} is above the bound of {max_order}")
-
-
-def normal_subgroups(
-    group: PermutationGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER
-) -> list[PermutationGroup]:
+def normal_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     """All normal subgroups, by order and then by lex listing.
 
     A group that is the product of the symmetric groups on its orbits, as
@@ -708,14 +701,15 @@ def normal_subgroups(
     closed form (``_closed_form_census``): no element is listed, and the
     only bound is ``MAX_CENSUS`` on their number, checked before any is
     built.  Any other group is searched as the closed sets of its
-    conjugacy classes (``_class_mask_census``), within ``max_order``.
+    conjugacy classes (``_class_mask_census``), within
+    ``DEFAULT_MAX_GROUP_ORDER``.
     """
     orbits = _product_orbits(group)
     if orbits is None:
-        return _class_mask_census(group, max_order)
-    if not orbits:  # the trivial group, a rigid space's
+        return _class_mask_census(group)
+    if not orbits:  # the trivial group, a rigid space's; the census gives [group] too, slower
         return [group]
-    return sorted((sub for sub, _ in _closed_form_census(group, orbits)), key=by_order_then_lex)
+    return sorted((sub for sub, _, _ in _closed_form_census(group, orbits)), key=by_order_then_lex)
 
 
 def _product_orbits(group):
@@ -799,8 +793,9 @@ def _census_size(orbits):
 
 
 def _closed_form_census(group, orbits):
-    """Every normal subgroup N of G = prod Sym(O_i), with the dimension of
-    its D, on the orbits ``_product_orbits`` returned.
+    """Every normal subgroup N of G = prod Sym(O_i), with the role of each
+    orbit and the dimension of its D, on the orbits ``_product_orbits``
+    returned.
 
     N_i = N meet Sym(O_i) is normal in Sym(O_i), so it is 1, A_n, V_4 or
     S_n, and N / prod N_i is central in prod Sym(O_i) / N_i, whose centre
@@ -851,13 +846,13 @@ def _closed_form_census(group, orbits):
                             f"subgroup of order {sub.order} holds the transposition "
                             f"{group.cycle_string(swap)} of an index-2 orbit"
                         )
-            census.append((sub, len(rows)))
+            census.append((sub, tuple(roles), len(rows)))
     return census
 
 
-def _class_mask_census(group, max_order):
-    """All normal subgroups of any group within ``max_order``, by order and
-    then by lex listing.
+def _class_mask_census(group):
+    """All normal subgroups of any group within ``DEFAULT_MAX_GROUP_ORDER``,
+    by order and then by lex listing.
 
     A normal subgroup is a union of conjugacy classes that holds the
     identity and is closed under products (Holt, Eick & O'Brien, Handbook
@@ -871,7 +866,10 @@ def _class_mask_census(group, max_order):
     order, which catches a class list that is wrong but closed under the
     products it implies.
     """
-    _check_order(group, max_order)
+    if group.order > DEFAULT_MAX_GROUP_ORDER:
+        raise BoundExceededError(
+            f"group order {group.order} is above the bound of {DEFAULT_MAX_GROUP_ORDER}"
+        )
     classes = [sorted(cls) for cls in conjugacy_classes(group)]
     class_of = {g: k for k, cls in enumerate(classes) for g in cls}
     products = [[0] * len(classes) for _ in classes]  # [a][b]: the classes that A B meets
@@ -930,21 +928,17 @@ class Remark19Report:
 
     Candidates: choose disjoint block sets J (pointwise fixed), K (even
     restriction, block size >= 3) and L (identity or fixed-point-free
-    involution, block size exactly 4); unrestricted elsewhere.
+    involution, block size exactly 4); unrestricted elsewhere.  The
+    off-list normal subgroups are the sign diagonals.
     """
 
     candidates: tuple[tuple[tuple[str, ...], PermutationGroup], ...]
     normal: tuple[PermutationGroup, ...]
     off_list: tuple[PermutationGroup, ...]
-    non_normal_candidates: tuple[PermutationGroup, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.non_normal_candidates
 
     @property
     def matches_exactly(self) -> bool:
-        return self.ok and not self.off_list
+        return not self.off_list
 
 
 def _role_generators(role, block, n):
@@ -970,71 +964,39 @@ def _perm_of_cycles(cycles, n):
     return tuple(perm)
 
 
-def verify_remark19(
-    space: FiniteSpace,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> Remark19Report:
+def verify_remark19(space: FiniteSpace) -> Remark19Report:
     """Compare the candidate list with the normal subgroups of a fully
     transitive space's homeomorphism group G.
 
-    Each role assignment's candidate is generated by the role generators
-    of its blocks.  That is the subgroup of G the roles describe, since
-    full transitivity gives |G| = prod |B_i|! and G preserves each block,
-    so G = prod Sym(B_i); each generator is still checked to lie in G.
-    Assignments giving the same group are merged under the lex-least one.
-    The normal subgroups come from the class-mask search, and the closed
-    form must agree on both sides: its D = 0 subgroups are the candidates,
-    its others the off-list ones, and together they are the search's list.
+    Full transitivity gives |G| = prod |B_i|! and G preserves each
+    similarity block B_i, so G = prod Sym(B_i): its orbits of more than one
+    point must be those blocks.  The closed form then lists every normal
+    subgroup, and must agree with the class-mask search, which knows
+    nothing of roles.  Its D = 0 subgroups are the candidates, labelled by
+    the role of each block ("J" for a one-point block, whose roles all give
+    the same group); its others are the off-list ones.
     """
-    ft = is_fully_transitive(space, max_points=max_points)
+    ft = is_fully_transitive(space)
     if not ft.holds:
         raise DomainError("the candidate list applies to fully transitive spaces only")
-    group, part = ft.group, ft.partition
-    _check_order(group, max_order)
-    blocks = part.blocks
-    block_idx = [tuple(space.index(p) for p in block) for block in blocks]
-
-    role_choices = [[role for role, _, _ in _orbit_roles(len(block))] for block in blocks]
-    by_group: dict[PermutationGroup, list[tuple[str, ...]]] = {}
-    for assignment in itertools.product(*role_choices):
-        gens = [
-            gen
-            for role, idx in zip(assignment, block_idx)
-            for gen in _role_generators(role, idx, space.size)
-        ]
-        for gen in gens:
-            if gen not in group:
-                raise InternalCheckError(
-                    f"candidate generator {group.cycle_string(gen)} lies outside the group"
-                )
-        cand = PermutationGroup.from_generators(space.points, gens)
-        by_group.setdefault(cand, []).append(assignment)
-
-    candidates = sorted(
-        ((min(labels), cand) for cand, labels in by_group.items()),
-        key=lambda c: by_order_then_lex(c[1]),
-    )
-    normal = _class_mask_census(group, max_order)
-    off_list = tuple(g for g in normal if g not in by_group)
-    non_normal = tuple(
-        cand for _, cand in candidates if not group.is_normal(cand)
-    )
+    group = ft.group
+    normal = _class_mask_census(group)
+    block_idx = [sorted(map(space.index, block)) for block in ft.partition.blocks]
     orbits = _product_orbits(group)
-    if orbits is None:
-        raise InternalCheckError("the group of a fully transitive space is not a product")
-    census = _closed_form_census(group, orbits)
-    if {sub for sub, dim in census if not dim} != set(by_group):
-        raise InternalCheckError("the closed form's D = 0 subgroups are not the candidates")
-    if {sub for sub, dim in census if dim} != set(off_list):
-        raise InternalCheckError("the closed form's D != 0 subgroups are not the off-list ones")
-    if sorted((sub for sub, _ in census), key=by_order_then_lex) != normal:
+    if orbits != sorted(idx for idx in block_idx if len(idx) > 1):
+        raise InternalCheckError("the group is not the product of its blocks' symmetric groups")
+    census = sorted(_closed_form_census(group, orbits), key=lambda c: by_order_then_lex(c[0]))
+    if [sub for sub, _, _ in census] != normal:
         raise InternalCheckError("the closed-form census differs from the class-mask search")
+    slot = {orbit[0]: k for k, orbit in enumerate(orbits)}
     return Remark19Report(
-        candidates=tuple(candidates),
+        candidates=tuple(
+            (tuple(roles[slot[idx[0]]] if len(idx) > 1 else "J" for idx in block_idx), sub)
+            for sub, roles, dim in census
+            if not dim
+        ),
         normal=tuple(normal),
-        off_list=off_list,
-        non_normal_candidates=non_normal,
+        off_list=tuple(sub for sub, _, dim in census if dim),
     )
 
 

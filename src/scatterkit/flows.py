@@ -40,6 +40,8 @@ DEFAULT_MAX_FLOW_SIZE = 40320
 
 def lo_space(n: int, max_n: int = DEFAULT_MAX_ENUMERATION) -> list[tuple[int, ...]]:
     """All linear orders on {1..n}, each as its increasing sequence."""
+    if n < 0:
+        raise DomainError(f"the number of elements must be non-negative, got {n}")
     if n > max_n:
         raise BoundExceededError(f"LO enumeration is limited to {max_n} elements")
     return [perm for perm in itertools.permutations(range(1, n + 1))]

@@ -678,7 +678,7 @@ def test_normal_subgroups_check_orders_against_the_classes(monkeypatch):
     for wrong, order in ((merged, 1), (split, 3)):
         monkeypatch.setattr(finite, "conjugacy_classes", lambda g, wrong=wrong: wrong)
         with pytest.raises(InternalCheckError, match=f"order {order} does not match"):
-            finite._class_mask_census(group, finite.DEFAULT_MAX_GROUP_ORDER)
+            finite._class_mask_census(group)
 
 
 def _s4_classes_split_or_merged(kind):
@@ -707,7 +707,7 @@ def test_normal_subgroups_check_results_against_the_group(monkeypatch, kind, mes
     wrong = _s4_classes_split_or_merged(kind)
     monkeypatch.setattr(finite, "conjugacy_classes", lambda g: wrong)
     with pytest.raises(InternalCheckError, match=message):
-        finite._class_mask_census(group, finite.DEFAULT_MAX_GROUP_ORDER)
+        finite._class_mask_census(group)
 
 
 def test_normal_subgroups_of_a_layered_space_in_seconds():
@@ -722,7 +722,7 @@ def test_normal_subgroups_of_a_layered_space_in_seconds():
 
 def test_remark19_single_class_of_three():
     report = verify_remark19(discrete_space(3))
-    assert report.ok and report.matches_exactly
+    assert report.matches_exactly
     assert sorted(c[1].order for c in report.candidates) == [1, 3, 6]
 
 
@@ -734,7 +734,7 @@ def test_remark19_size_four_includes_klein_group():
 
 def test_remark19_double_fan_reports_diagonal():
     report = verify_remark19(double_fan_space())
-    assert report.ok
+    assert not report.matches_exactly
     assert len(report.off_list) == 1
     off = report.off_list[0]
     assert off.order == 2
@@ -744,6 +744,28 @@ def test_remark19_double_fan_reports_diagonal():
 def test_remark19_requires_full_transitivity():
     with pytest.raises(DomainError):
         verify_remark19(two_fans())
+
+
+_NOT_A_PRODUCT = "^the group is not the product of its blocks' symmetric groups$"
+
+
+@pytest.mark.parametrize(
+    "name, wrong, message",
+    [
+        # no sign diagonal: the closed form misses the 2+2 diagonal the classes find
+        ("_unit_free_bases", lambda t: iter([[]]), "^the closed-form census differs from the class-mask search$"),
+        # orbits that are not the blocks, or no product at all
+        ("_product_orbits", lambda group: [[0, 1]], _NOT_A_PRODUCT),
+        ("_product_orbits", lambda group: None, _NOT_A_PRODUCT),
+    ],
+    ids=["no-sign-diagonal", "orbits-not-blocks", "not-a-product"],
+)
+def test_remark19_checks_the_closed_form_against_the_class_search(monkeypatch, name, wrong, message):
+    """A closed form that misses a subgroup, or a group whose orbits are
+    not the blocks, raises rather than reporting a candidate list."""
+    monkeypatch.setattr(finite, name, wrong)
+    with pytest.raises(InternalCheckError, match=message):
+        verify_remark19(double_fan_space())
 
 
 def _restriction_parity(perm, block_idx) -> int:
@@ -822,7 +844,7 @@ def test_remark19_candidates_match_element_filter_reference():
         *(star_space(leaves, tiers) for tiers in (1, 2) for leaves in (3, 4, 5)),
         double_fan_space(),
     ]
-    for sizes in ((2, 2), (3, 3), (3, 2), (2, 2, 2), (1, 2, 1, 2), (4, 3)):
+    for sizes in ((2, 2), (3, 3), (3, 2), (2, 2, 2), (1, 2, 1, 2), (4, 3), (2, 2, 2, 2)):
         spaces.append(layered_space(sizes))
     for n in range(0, 5):
         spaces += [sp for sp in enumerate_t0_spaces(n) if is_fully_transitive(sp).holds]

@@ -147,6 +147,18 @@ def test_larger_sizes_answered_within_bound(capsys):
     assert "limited to 8 elements" in capsys.readouterr().err
 
 
+def test_negative_sizes_are_refused(capsys):
+    message = "the number of elements must be non-negative, got -1"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        lo_space(-1)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        check_simply_transitive(-1)
+    assert main(["flows", "--n", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert "orders" not in out and "simply_transitive" not in out
+
+
 def test_stabilizers_are_trivial():
     for n in range(1, 6):
         for order in lo_space(n):

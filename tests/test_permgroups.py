@@ -399,7 +399,7 @@ def test_closed_form_census_matches_the_class_mask_search(tmp_path_factory, spac
     orbits = finite._product_orbits(group)
     assume(orbits is not None and group.order <= finite.DEFAULT_MAX_GROUP_ORDER)
     got = normal_subgroups(group)
-    want = finite._class_mask_census(group, finite.DEFAULT_MAX_GROUP_ORDER)
+    want = finite._class_mask_census(group)
     assert len(got) == finite._census_size(orbits)
     assert [sub.order for sub in got] == [sub.order for sub in want]
     assert got == want
@@ -416,9 +416,9 @@ def test_groups_that_are_not_products_keep_the_class_mask_search(monkeypatch):
     calls = []
     search = finite._class_mask_census
 
-    def counted(group, max_order):
+    def counted(group):
         calls.append(group.order)
-        return search(group, max_order)
+        return search(group)
 
     monkeypatch.setattr(finite, "_class_mask_census", counted)
     for widths in ((2, 2), (3, 3), (2, 2, 2)):
@@ -566,8 +566,9 @@ print(counts["sift"], counts["eq"])
 
 
 def test_remark19_work_counts_do_not_depend_on_the_hash_seed():
-    """Groups hash from their basic orbits, which hold only ints, so the
-    dict of candidate groups probes the same way in every interpreter."""
+    """Nothing on the Remark 19 path iterates point names in hash order,
+    and groups hash from their basic orbits, which hold only ints, so the
+    sifts and group comparisons are the same in every interpreter."""
     counts = []
     for seed in ("0", "2"):
         proc = subprocess.run(

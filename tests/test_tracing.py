@@ -3,12 +3,15 @@
 ``perfbench/tracing.py`` patches scatterkit's functions by attribute path
 (``_kernels.refine_colors``, ``_kernels.pure.search``, ...).  A rename in
 ``src/`` would break ``perfbench/run.py --trace 1`` without failing any
-other test, so this one builds the tracer, installs it and takes it down.
+other test, so these resolve every traced path by name, then build the
+tracer, install it and take it down.
 """
 
 import importlib
 import os
 import sys
+
+import pytest
 
 import scatterkit._kernels as kernels
 
@@ -23,6 +26,19 @@ def _tracing():
         sys.path.remove(PERFBENCH)
 
 
+tracing = _tracing()
+
+
+@pytest.mark.parametrize(
+    "module, path", [(module, path) for module, path, _, _ in tracing.targets("pure")]
+)
+def test_every_traced_target_is_a_scatterkit_function(module, path):
+    owner = importlib.import_module("scatterkit." + module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner) and owner.__module__.startswith("scatterkit.")
+
+
 def _namespaces():
     return {
         name: dict(vars(module))
@@ -32,7 +48,6 @@ def _namespaces():
 
 
 def test_tracer_resolves_every_traced_path_and_puts_the_originals_back():
-    tracing = _tracing()
     tracer = tracing.Tracer("pure")  # raises if a traced attribute path no longer resolves
     before = _namespaces()  # after the tracer imported every module it traces
     traced = {owner.__name__ + "." + attr for owner, attr, _, _ in tracer._patches}
