@@ -222,28 +222,35 @@ def cb_data(space: FiniteSpace) -> CBData:
 
 def _cb_data(space):
     masks, n = space._masks, space.size
-    levels = []
     ranks = [0] * n
+    rank = 0
     current = (1 << n) - 1
     while True:
-        levels.append(current)
         nxt = 0
         for i in _bits(current):
             if masks[i] & current != 1 << i:
                 nxt |= 1 << i
             else:
-                ranks[i] = len(levels) - 1  # i leaves the derived set here
+                ranks[i] = rank  # i leaves the derived set here
         if nxt == current:
             break
         current = nxt
-    rank = len(levels) - 1
+        rank += 1
     for i in _bits(current):  # the perfect kernel, which never empties
         ranks[i] = rank
+    # level k holds exactly the points of rank >= k
+    by_rank = [[] for _ in range(rank + 1)]
+    for name, r in zip(space.points, ranks):
+        by_rank[r].append(name)
+    levels, level = [], frozenset()
+    for names in reversed(by_rank):
+        level = level.union(names)
+        levels.append(level)
     return CBData(
-        levels=tuple(frozenset(space._names(m)) for m in levels),
+        levels=tuple(reversed(levels)),
         rank_of=MappingProxyType(dict(zip(space.points, ranks))),
         rank=rank,
-        scattered=(levels[-1] == 0),
+        scattered=not current,
     )
 
 
@@ -933,7 +940,6 @@ class Remark19Report:
     """
 
     candidates: tuple[tuple[tuple[str, ...], PermutationGroup], ...]
-    normal: tuple[PermutationGroup, ...]
     off_list: tuple[PermutationGroup, ...]
 
     @property
@@ -995,7 +1001,6 @@ def verify_remark19(space: FiniteSpace) -> Remark19Report:
             for sub, roles, dim in census
             if not dim
         ),
-        normal=tuple(normal),
         off_list=tuple(sub for sub, _, dim in census if dim),
     )
 

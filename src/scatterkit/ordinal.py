@@ -6,7 +6,8 @@ ordinals themselves and the empty tuple is 0.  This representation covers
 exactly the ordinals below epsilon_0.  Values are immutable and hashable,
 all operations are pure.
 
-The text grammar (whitespace ignored, '#' starts a line comment):
+The text grammar (whitespace ignored, '#' starts a line comment, digits
+are the ASCII 0-9 only):
 
     ordinal := term ( "+" term )*
     term    := "w" power? coeff? | nat
@@ -22,6 +23,7 @@ to right.  `parse(format_ordinal(o)) == o` for every valid ordinal.
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -313,99 +315,99 @@ def format_ordinal(o: Ordinal) -> str:
     return " + ".join(parts)
 
 
-class _Parser:
-    def __init__(self, text: str, max_depth: int):
-        self.text = text
-        self.pos = 0
-        self.max_depth = max_depth
+#: One match per token, captured: an ASCII digit run or any other
+#: non-whitespace character; a '#' comment to the end of the line matches
+#: with nothing captured.  ``\s`` matches exactly the characters for which
+#: ``str.isspace()`` holds.
+_TOKEN = re.compile(r"([0-9]+|[^\s#])|#[^\n]*")
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, position=self.pos)
 
-    def skip(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            c = text[self.pos]
-            if c.isspace():
-                self.pos += 1
-            elif c == "#":
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
+class _Failure(Exception):
+    """A parse error at token ``index`` or, with ``past``, just after the
+    token before it (0 for the first token)."""
 
-    def peek(self) -> str:
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def __init__(self, message: str, index: int, past: bool = False):
+        self.message, self.index, self.past = message, index, past
 
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
+    def position(self, text: str) -> int:
+        spans = [m.span() for m in _TOKEN.finditer(text) if m[1]]
+        if self.past:
+            return spans[self.index - 1][1] if self.index else 0
+        return spans[self.index][0] if self.index < len(spans) else len(text)
 
-    def nat(self) -> int:
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:
-            # Python refuses int() on more digits than sys.get_int_max_str_digits()
-            raise ParseError(
-                f"integer literal of {self.pos - start} digits is too long", position=start
-            ) from None
 
-    def ordinal(self, depth: int) -> Ordinal:
-        if depth > self.max_depth:
-            raise self.error(f"nesting depth exceeds limit of {self.max_depth}")
-        value = self.term(depth)
-        while self.peek() == "+":
-            self.pos += 1
-            value = add(value, self.term(depth))
-        return value
+def _nat(token: str, index: int) -> int:
+    # a token is one character or a run of ASCII digits, so the tokens in
+    # ["0", ":") are exactly the numbers
+    if not "0" <= token < ":":
+        raise _Failure("expected a number", index)
+    try:
+        return int(token)
+    except ValueError:
+        # Python refuses int() on more digits than sys.get_int_max_str_digits()
+        raise _Failure(f"integer literal of {len(token)} digits is too long", index) from None
 
-    def term(self, depth: int) -> Ordinal:
-        c = self.peek()
-        if c == "w":
-            self.pos += 1
+
+def _sum(tokens: list[str], i: int, depth: int, max_depth: int):
+    """The CNF terms of the sum starting at token i, and the index after it.
+
+    Adding a term w^e*c pops the trailing terms whose exponent is below e
+    and merges with one equal to e: `add` of a single term.
+    """
+    if depth > max_depth:
+        raise _Failure(f"nesting depth exceeds limit of {max_depth}", i, past=True)
+    terms = []
+    while True:
+        token = tokens[i]
+        if token == "w":
+            i += 1
             exponent = ONE
-            if self.peek() == "^":
-                self.pos += 1
-                exponent = self.atom(depth + 1)
+            if tokens[i] == "^":
+                i += 1
+                if depth + 1 > max_depth:
+                    raise _Failure(f"nesting depth exceeds limit of {max_depth}", i, past=True)
+                token = tokens[i]
+                if token == "(":
+                    inner, i = _sum(tokens, i + 1, depth + 1, max_depth)
+                    if tokens[i] != ")":
+                        raise _Failure("expected ')'", i)
+                    exponent = Ordinal(tuple(inner))
+                elif token == "w":
+                    exponent = OMEGA
+                elif "0" <= token < ":":
+                    exponent = Ordinal.from_int(_nat(token, i))
+                else:
+                    raise _Failure("expected a number, 'w' or '('", i)
+                i += 1
             coefficient = 1
-            if self.peek() == "*":
-                self.pos += 1
-                coefficient = self.nat()
-            return omega_power(exponent, coefficient)
-        if c.isdigit():
-            return Ordinal.from_int(self.nat())
-        raise self.error("expected 'w' or a number")
-
-    def atom(self, depth: int) -> Ordinal:
-        if depth > self.max_depth:
-            raise self.error(f"nesting depth exceeds limit of {self.max_depth}")
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            value = self.ordinal(depth)
-            self.expect(")")
-            return value
-        if c == "w":
-            self.pos += 1
-            return OMEGA
-        if c.isdigit():
-            return Ordinal.from_int(self.nat())
-        raise self.error("expected a number, 'w' or '('")
+            if tokens[i] == "*":
+                coefficient = _nat(tokens[i + 1], i + 1)
+                i += 2
+        elif "0" <= token < ":":
+            exponent, coefficient = ZERO, _nat(token, i)
+            i += 1
+        else:
+            raise _Failure("expected 'w' or a number", i)
+        if coefficient:
+            key = exponent.terms  # term tuples compare as their ordinals do
+            while terms and terms[-1][0].terms < key:
+                terms.pop()
+            if terms and terms[-1][0].terms == key:
+                coefficient += terms.pop()[1]
+            terms.append((exponent, coefficient))
+        if tokens[i] != "+":
+            return terms, i
+        i += 1
 
 
 def parse(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Ordinal:
     """Evaluate an ordinal expression to its Cantor normal form."""
-    p = _Parser(text, max_depth)
-    value = p.ordinal(0)
-    p.skip()
-    if p.pos != len(text):
-        raise p.error("trailing input")
-    return value
+    tokens = list(filter(None, _TOKEN.findall(text)))  # comments drop out
+    tokens.append("")  # end of input
+    try:
+        terms, i = _sum(tokens, 0, 0, max_depth)
+        if tokens[i]:
+            raise _Failure("trailing input", i)
+    except _Failure as failure:
+        raise ParseError(failure.message, position=failure.position(text)) from None
+    return Ordinal(tuple(terms))

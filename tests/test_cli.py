@@ -75,6 +75,12 @@ def test_over_long_literal_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: integer literal of 5000 digits")
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    code, out = run_cli("classify", "w*\u00b2")  # a superscript two
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: expected a number (at position 2)\n"
+
+
 def test_over_long_coefficient_exits_1(capsys):
     nines = "9" * 4300
     code, out = run_cli("classify", f"{nines} + {nines}")

@@ -219,7 +219,7 @@ def _cb_data_reference(space):
 
 def test_cb_data_matches_rank_scan_reference():
     spaces = [space for n in range(5) for space in enumerate_preorder_spaces(n)]
-    spaces += [chain_space(30), discrete_space(5), double_fan_space()]
+    spaces += [chain_space(30), chain_space(200), discrete_space(5), double_fan_space()]
     for space in spaces:
         data = finite._cb_data(space)
         assert (data.levels, dict(data.rank_of), data.rank, data.scattered) == _cb_data_reference(

@@ -1,9 +1,13 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterkit.errors import DomainError, ParseError, ScatterkitError
 from scatterkit.ordinal import (
+    DEFAULT_MAX_DEPTH,
     OMEGA,
     ONE,
     ZERO,
@@ -118,6 +122,26 @@ def test_parse_refuses_over_long_integer_literals():
     assert err.value.position == 4
 
 
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit() holds for "\u00b2" (superscript two) and the Arabic-Indic digits
+    with pytest.raises(ParseError) as err:
+        parse("\u00b2")
+    assert (str(err.value), err.value.position) == ("expected 'w' or a number (at position 0)", 0)
+    with pytest.raises(ParseError) as err:
+        parse("w*\u00b2")
+    assert (str(err.value), err.value.position) == ("expected a number (at position 2)", 2)
+    with pytest.raises(ParseError, match="expected 'w' or a number"):
+        parse("\u0661\u0662")
+    with pytest.raises(ParseError, match="expected a number, 'w' or '\\('"):
+        parse("w^\u0663")
+
+
+def test_token_whitespace_is_str_isspace():
+    # the tokenizer skips regex \s, the reference parser str.isspace()
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
 def test_format_refuses_over_long_coefficients():
     # two 4300-digit literals parse, and their sums have 4301-digit coefficients
     nines = "9" * 4300
@@ -181,6 +205,160 @@ def test_parse_fuzz_yields_an_ordinal_or_a_scatterkit_error(text):
     except DomainError:  # a coefficient too long to print
         return
     assert parse(printed) == value
+
+
+# --- the character-scanning reference parser ---------------------------------
+#
+# It adds each term with `add`, which copies the whole sum, so it is
+# quadratic in the number of terms; `parse` must agree with it on every
+# value, error message and error position.
+
+class _Parser:
+    def __init__(self, text: str, max_depth: int):
+        self.text = text
+        self.pos = 0
+        self.max_depth = max_depth
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, position=self.pos)
+
+    def skip(self) -> None:
+        text, n = self.text, len(self.text)
+        while self.pos < n:
+            c = text[self.pos]
+            if c.isspace():
+                self.pos += 1
+            elif c == "#":
+                while self.pos < n and text[self.pos] != "\n":
+                    self.pos += 1
+            else:
+                return
+
+    def peek(self) -> str:
+        self.skip()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            raise self.error(f"expected {char!r}")
+        self.pos += 1
+
+    def nat(self) -> int:
+        self.skip()
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a number")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # Python refuses int() on more digits than sys.get_int_max_str_digits()
+            raise ParseError(
+                f"integer literal of {self.pos - start} digits is too long", position=start
+            ) from None
+
+    def ordinal(self, depth: int) -> Ordinal:
+        if depth > self.max_depth:
+            raise self.error(f"nesting depth exceeds limit of {self.max_depth}")
+        value = self.term(depth)
+        while self.peek() == "+":
+            self.pos += 1
+            value = add(value, self.term(depth))
+        return value
+
+    def term(self, depth: int) -> Ordinal:
+        c = self.peek()
+        if c == "w":
+            self.pos += 1
+            exponent = ONE
+            if self.peek() == "^":
+                self.pos += 1
+                exponent = self.atom(depth + 1)
+            coefficient = 1
+            if self.peek() == "*":
+                self.pos += 1
+                coefficient = self.nat()
+            return omega_power(exponent, coefficient)
+        if "0" <= c <= "9":
+            return Ordinal.from_int(self.nat())
+        raise self.error("expected 'w' or a number")
+
+    def atom(self, depth: int) -> Ordinal:
+        if depth > self.max_depth:
+            raise self.error(f"nesting depth exceeds limit of {self.max_depth}")
+        c = self.peek()
+        if c == "(":
+            self.pos += 1
+            value = self.ordinal(depth)
+            self.expect(")")
+            return value
+        if c == "w":
+            self.pos += 1
+            return OMEGA
+        if "0" <= c <= "9":
+            return Ordinal.from_int(self.nat())
+        raise self.error("expected a number, 'w' or '('")
+
+
+def _reference_parse(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Ordinal:
+    """`parse` by a character scan that adds term by term with `add`."""
+    p = _Parser(text, max_depth)
+    value = p.ordinal(0)
+    p.skip()
+    if p.pos != len(text):
+        raise p.error("trailing input")
+    return value
+
+
+def _outcome(parser, text, max_depth):
+    try:
+        return parser(text, max_depth).terms
+    except ParseError as err:
+        return str(err), err.position
+
+
+_pieces = st.sampled_from(
+    ["w", "^", "*", "+", "(", ")", "0", "1", "2", "10", "007"]
+    + [" ", "\t", "\n", "# note\n", "#", "x", "\u00b2"]
+)
+_differential_text = st.one_of(
+    st.text(alphabet="w^*+()0123456789 \t\n#", max_size=60),
+    st.lists(_pieces, max_size=40).map("".join),
+    st.lists(st.sampled_from(["w^2*3", "w", "w^(w + 1)", "5", "w^w*2", "w^0", "w*0"]), max_size=12)
+    .map(" + ".join),
+    # nested exponents around a leaf, to and past every limit drawn below
+    st.builds(
+        lambda depth, leaf, gap: f"w^{gap}({gap}" * depth + leaf + f"{gap})" * depth,
+        st.integers(0, 70),
+        st.sampled_from(["1", "w", "w + 2", "", "0*", "w^", "w^(1", "9" * 4301]),
+        st.sampled_from(["", " ", "# c\n"]),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_differential_text, st.sampled_from([-1, 0, 1, 2, 64]))
+def test_parse_matches_reference_parser(text, max_depth):
+    assert _outcome(parse, text, max_depth) == _outcome(_reference_parse, text, max_depth)
+
+
+def test_parse_is_linear_in_its_terms(monkeypatch):
+    # the reference re-validates the whole sum at every "+": about 8 million terms here
+    validated = 0
+    post_init = Ordinal.__post_init__
+
+    def counting(self):
+        nonlocal validated
+        validated += len(self.terms)
+        post_init(self)
+
+    text = " + ".join(f"w^{e}*2" for e in range(4000, 0, -1))
+    monkeypatch.setattr(Ordinal, "__post_init__", counting)
+    value = parse(text)
+    monkeypatch.undo()
+    assert validated <= 3 * 4000
+    assert value == Ordinal(tuple((Ordinal.from_int(e), 2) for e in range(4000, 0, -1)))
 
 
 def test_coefficient_zero_and_power_zero():
