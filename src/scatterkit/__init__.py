@@ -5,7 +5,14 @@ arithmetic, classification of ordinal spaces up to homeomorphism,
 Cantor-Bendixson data, finite Alexandrov spaces with full homeomorphism
 group computation, the graph-to-space encoding, symbolic descriptors of
 homeomorphism groups of ordinal spaces, and linear-order flows.
+
+Only ``errors``, ``ordinal`` and ``classify`` load with the package.  The
+finite-space, graph and group-descriptor names load their modules on
+first use (PEP 562), so a start that never touches them never pays for
+them.
 """
+
+import importlib
 
 from .classify import (
     ALEPH0,
@@ -30,9 +37,6 @@ from .errors import (
     UnrepresentableProfileError,
     ValidationError,
 )
-from .finite import FiniteSpace, PermutationGroup, SimilarityPartition
-from .graphs import Graph
-from .groups import GroupDescriptor, UmfDescriptor, descriptor_of, groups_isomorphic
 from .ordinal import OMEGA, ONE, ZERO, Kind, Ordinal, omega_power
 
 __version__ = "0.1.0"
@@ -73,3 +77,33 @@ __all__ = [
     "InternalCheckError",
     "__version__",
 ]
+
+#: Each name that loads its module on first use, and that module.
+_LAZY = {
+    "FiniteSpace": "finite",
+    "SimilarityPartition": "finite",
+    "PermutationGroup": "permgroups",
+    "Graph": "graphs",
+    "GroupDescriptor": "groups",
+    "UmfDescriptor": "groups",
+    "descriptor_of": "groups",
+    "groups_isomorphic": "groups",
+}
+
+#: Submodules that ``import scatterkit`` used to load eagerly; they still
+#: resolve as attributes of the bare package.
+_SUBMODULES = ("finite", "permgroups", "graphs", "groups", "_kernels")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

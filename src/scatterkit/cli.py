@@ -14,11 +14,6 @@ import functools
 import os
 import sys
 
-from . import finite as fin
-from . import flows as fl
-from . import graphs as gr
-from . import groups as gp
-from . import verify as vf
 from .classify import (
     SpaceClass,
     class_profile,
@@ -31,6 +26,21 @@ from .errors import ParseError, ScatterkitError
 from .ordinal import parse
 
 ENV_MAX_POINTS = "SCATTERKIT_MAX_POINTS"
+#: ``verify --help``'s suite list and ``--seed`` default, kept here so that
+#: building the parser does not load ``verify``; the tests tie both to
+#: ``verify.suite_names()`` and ``verify.DEFAULT_SEED``.
+SUITE_NAMES = (
+    "ordinal-laws",
+    "classifier",
+    "cb-rank",
+    "prop24",
+    "full-transitivity",
+    "flows",
+    "iso-oracle",
+    "remark19",
+    "all",
+)
+DEFAULT_SEED = 0
 
 
 class _Emitter:
@@ -45,11 +55,8 @@ class _Emitter:
         self.rows.append((key, str(value)))
 
     def flush(self) -> None:
-        for key, value in self.rows:
-            if self.structured:
-                print(f"{key}={value}")
-            else:
-                print(f"{key}: {value}")
+        sep = "=" if self.structured else ": "
+        sys.stdout.write("".join(f"{key}{sep}{value}\n" for key, value in self.rows))
 
 
 def _max_points(args, default: int | None) -> int | None:
@@ -131,6 +138,8 @@ def cmd_profile(args, out: _Emitter) -> int:
 
 
 def cmd_group(args, out: _Emitter) -> int:
+    from . import groups as gp
+
     gamma = parse(args.ordinal)
     descriptor = gp.descriptor_of(gamma)
     inv = gp.invariants(descriptor)
@@ -151,6 +160,8 @@ def cmd_group(args, out: _Emitter) -> int:
 
 
 def cmd_groups_iso(args, out: _Emitter) -> int:
+    from . import groups as gp
+
     d1 = gp.descriptor_of(parse(args.first))
     d2 = gp.descriptor_of(parse(args.second))
     answer = gp.groups_isomorphic(d1, d2)
@@ -162,6 +173,8 @@ def cmd_groups_iso(args, out: _Emitter) -> int:
 
 
 def cmd_fspace(args, out: _Emitter) -> int:
+    from . import finite as fin
+
     space = fin.FiniteSpace.parse(_read(args.file))
     bound = _max_points(args, fin.DEFAULT_MAX_POINTS)
     out.put("points", space.size)
@@ -199,6 +212,8 @@ def cmd_fspace(args, out: _Emitter) -> int:
 
 
 def cmd_encode_graph(args, out: _Emitter) -> int:
+    from . import graphs as gr
+
     graph = gr.Graph.parse(_read(args.file))
     bound = _max_points(args, gr.DEFAULT_MAX_VERTICES)
     if args.verify:
@@ -229,6 +244,8 @@ def cmd_encode_graph(args, out: _Emitter) -> int:
 
 
 def cmd_flows(args, out: _Emitter) -> int:
+    from . import flows as fl
+
     if (args.n is None) == (args.fspace is None):
         raise ParseError("flows needs exactly one of --n or --fspace")
     bound = _max_points(args, fl.DEFAULT_MAX_ENUMERATION)
@@ -237,7 +254,9 @@ def cmd_flows(args, out: _Emitter) -> int:
         out.put("orders", len(fl.lo_space(args.n, max_n=bound)))
         out.put("simply_transitive", fl.check_simply_transitive(args.n, max_n=bound))
         return 0
-    space = fin.FiniteSpace.parse(_read(args.fspace))
+    from .finite import FiniteSpace
+
+    space = FiniteSpace.parse(_read(args.fspace))
     report = fl.product_flow_check(space)
     out.put("factors", " x ".join(f"LO({s})" for s in report.factor_sizes))
     out.put("flow_size", report.flow_size)
@@ -249,6 +268,8 @@ def cmd_flows(args, out: _Emitter) -> int:
 
 
 def cmd_verify(args, out: _Emitter) -> int:
+    from . import verify as vf
+
     try:
         results = vf.run_suite(args.suite, seed=args.seed, max_points=_max_points(args, None))
     except ValueError as exc:
@@ -338,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flows)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(vf.suite_names())}")
-    p.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
+    p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-points", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

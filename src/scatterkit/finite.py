@@ -212,7 +212,7 @@ class CBData:
 
 
 def cb_data(space: FiniteSpace) -> CBData:
-    """Iterate the derived-set operator to stabilisation.
+    """The derived-set sequence up to stabilisation, and each point's rank.
 
     A point of a subset A is in A's derived set iff its minimal open set
     meets A in more than the point itself.
@@ -221,23 +221,42 @@ def cb_data(space: FiniteSpace) -> CBData:
 
 
 def _cb_data(space):
+    # A point leaves the derived sets one level after the last point below
+    # it (at level 0 if nothing is below it), so its rank is one more than
+    # the largest rank in U_x - {x}.  Visiting the points by |U_x| reaches
+    # every point after all the points below it.  A point that shares its
+    # minimal open set with another, or lies above such a point, never
+    # leaves: together they are the perfect kernel, ranked at the top.
     masks, n = space._masks, space.size
+    counts = [mask.bit_count() for mask in masks]
+    shared = ()
+    if len(set(masks)) < n:
+        seen, shared = set(), set()
+        for mask in masks:
+            (shared if mask in seen else seen).add(mask)
     ranks = [0] * n
-    rank = 0
-    current = (1 << n) - 1
-    while True:
-        nxt = 0
-        for i in _bits(current):
-            if masks[i] & current != 1 << i:
-                nxt |= 1 << i
-            else:
-                ranks[i] = rank  # i leaves the derived set here
-        if nxt == current:
-            break
-        current = nxt
-        rank += 1
-    for i in _bits(current):  # the perfect kernel, which never empties
-        ranks[i] = rank
+    of_rank = [0] * (n + 1)  # of_rank[k]: the points of rank k, as a mask
+    rank = kernel = 0  # rank: how many ranks are taken so far
+    for x in sorted(range(n), key=counts.__getitem__):
+        bit = 1 << x
+        below = masks[x] ^ bit
+        if below & kernel or masks[x] in shared:
+            kernel |= bit
+            continue
+        # a point of rank k has k points below it, so the largest rank in
+        # below is under |below|: scan down from there
+        r = counts[x] - 1
+        if r > rank:
+            r = rank
+        while r and not below & of_rank[r - 1]:
+            r -= 1
+        ranks[x] = r
+        of_rank[r] |= bit
+        if r == rank:
+            rank += 1
+    if kernel:
+        for i in _bits(kernel):
+            ranks[i] = rank
     # level k holds exactly the points of rank >= k
     by_rank = [[] for _ in range(rank + 1)]
     for name, r in zip(space.points, ranks):
@@ -250,7 +269,7 @@ def _cb_data(space):
         levels=tuple(reversed(levels)),
         rank_of=MappingProxyType(dict(zip(space.points, ranks))),
         rank=rank,
-        scattered=not current,
+        scattered=not kernel,
     )
 
 

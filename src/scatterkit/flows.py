@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import BoundExceededError, DomainError
-from .finite import FiniteSpace, is_fully_transitive
+
+if TYPE_CHECKING:
+    from .finite import FiniteSpace
 
 __all__ = [
     "lo_space",
@@ -109,6 +112,8 @@ def product_flow_check(space: FiniteSpace) -> FlowReport:
     elements (module docstring); minimality is a separate breadth-first
     orbit of the same point under the generators only.
     """
+    from .finite import is_fully_transitive  # only the space check needs finite
+
     report = is_fully_transitive(space)
     if not report.holds:
         raise DomainError(

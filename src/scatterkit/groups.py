@@ -19,11 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .classify import Family, class_profile, classify
 from .errors import DomainError
-from .finite import FiniteSpace, is_fully_transitive
 from .ordinal import ZERO, Ordinal
+
+if TYPE_CHECKING:
+    from .finite import FiniteSpace
 
 __all__ = [
     "GroupFamily",
@@ -261,7 +264,12 @@ def umf_descriptor(source: Ordinal | int | FiniteSpace) -> UmfDescriptor:
     Ordinal spaces are always fully transitive; a finite space must pass
     the full-transitivity check first.
     """
-    if isinstance(source, FiniteSpace):
+    is_space = not isinstance(source, (Ordinal, int))
+    if is_space:  # only a non-ordinal input loads finite
+        from .finite import FiniteSpace, is_fully_transitive
+
+        is_space = isinstance(source, FiniteSpace)
+    if is_space:
         report = is_fully_transitive(source)
         if not report.holds:
             raise DomainError(

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 from math import factorial
 
+from . import finite as fin
 from . import flows as fl
 from . import graphs as gr
 from . import groups as gp
@@ -27,13 +28,6 @@ from .classify import (
     point_rank,
 )
 from .errors import InternalCheckError
-from .finite import (
-    FiniteSpace,
-    enumerate_preorder_spaces,
-    is_fully_transitive,
-    separation_report,
-    verify_remark19,
-)
 from .ordinal import ZERO, Ordinal, add, divide_by_power, mul_power, omega_power, parse
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "suite_names", "random_ordinal", "POOL"]
@@ -298,7 +292,7 @@ EXPECTED_T0_COUNTS = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219}
 def suite_full_transitivity(seed: int = DEFAULT_SEED) -> SuiteResult:
     result = SuiteResult("full-transitivity", True)
     for n in range(0, 5):
-        spaces = list(enumerate_preorder_spaces(n))
+        spaces = list(fin.enumerate_preorder_spaces(n))
         result.add(
             len(spaces) == EXPECTED_PREORDER_COUNTS[n],
             f"{len(spaces)} labelled topologies on {n} points",
@@ -306,7 +300,7 @@ def suite_full_transitivity(seed: int = DEFAULT_SEED) -> SuiteResult:
         scatter_ok = True
         t0_spaces = []
         for sp in spaces:
-            rep = separation_report(sp)
+            rep = fin.separation_report(sp)
             if rep.scattered != rep.t0:
                 scatter_ok = False
             if rep.t0:
@@ -319,7 +313,7 @@ def suite_full_transitivity(seed: int = DEFAULT_SEED) -> SuiteResult:
         agree = True
         for sp in t0_spaces:
             try:
-                is_fully_transitive(sp)
+                fin.is_fully_transitive(sp)
             except InternalCheckError:  # the direct check and the order formula disagree
                 agree = False
                 break
@@ -339,11 +333,11 @@ def suite_flows(seed: int = DEFAULT_SEED) -> SuiteResult:
     result.add(transitive_ok, "the permutation action on LO(n) is simply transitive for n <= 5")
     bad = None
     for n in range(0, 5):
-        for sp in enumerate_preorder_spaces(n):
-            rep = separation_report(sp)
+        for sp in fin.enumerate_preorder_spaces(n):
+            rep = fin.separation_report(sp)
             if not rep.t0:
                 continue
-            ft = is_fully_transitive(sp)
+            ft = fin.is_fully_transitive(sp)
             if not ft.holds:
                 continue
             flow = fl.product_flow_check(sp)
@@ -456,29 +450,29 @@ def suite_iso_oracle(seed: int = DEFAULT_SEED) -> SuiteResult:
 # criterion 8: the normal-subgroup census
 
 
-def discrete_space(n: int) -> FiniteSpace:
+def discrete_space(n: int) -> fin.FiniteSpace:
     names = [f"p{i + 1}" for i in range(n)]
-    return FiniteSpace(names, {p: {p} for p in names})
+    return fin.FiniteSpace(names, {p: {p} for p in names})
 
 
-def chain_space(n: int) -> FiniteSpace:
+def chain_space(n: int) -> fin.FiniteSpace:
     names = [f"p{i + 1}" for i in range(n)]
-    return FiniteSpace(names, {p: set(names[: i + 1]) for i, p in enumerate(names)})
+    return fin.FiniteSpace(names, {p: set(names[: i + 1]) for i, p in enumerate(names)})
 
 
-def star_space(leaves: int, tiers: int = 1) -> FiniteSpace:
+def star_space(leaves: int, tiers: int = 1) -> fin.FiniteSpace:
     """Leaves are isolated; tier j's centre sees all leaves and lower centres."""
     leaf_names = [f"l{i + 1}" for i in range(leaves)]
     centre_names = [f"c{j + 1}" for j in range(tiers)]
     table = {p: {p} for p in leaf_names}
     for j, c in enumerate(centre_names):
         table[c] = set(leaf_names) | set(centre_names[: j + 1])
-    return FiniteSpace(leaf_names + centre_names, table)
+    return fin.FiniteSpace(leaf_names + centre_names, table)
 
 
-def double_fan_space() -> FiniteSpace:
+def double_fan_space() -> fin.FiniteSpace:
     """Two similar rank-1 points over the same two isolated points."""
-    return FiniteSpace(
+    return fin.FiniteSpace(
         ("a", "b", "z", "w"),
         {"a": {"a"}, "b": {"b"}, "z": {"z", "a", "b"}, "w": {"w", "a", "b"}},
     )
@@ -508,7 +502,7 @@ def suite_remark19(seed: int = DEFAULT_SEED, max_points: int | None = None) -> S
     all_match = True
     witness = None
     for sp in single_big:
-        report = verify_remark19(sp)
+        report = fin.verify_remark19(sp)
         if not report.matches_exactly:
             all_match = False
             witness = f"{sp!r}: off-list {len(report.off_list)}"
@@ -518,7 +512,7 @@ def suite_remark19(seed: int = DEFAULT_SEED, max_points: int | None = None) -> S
                "one block of size >= 2 (sizes from {1,3,4,5})")
 
     fan = double_fan_space()
-    report = verify_remark19(fan)
+    report = fin.verify_remark19(fan)
     diagonal = {(0, 1, 2, 3), (1, 0, 3, 2)}
     ok_diag = len(report.off_list) == 1 and set(report.off_list[0].elements) == diagonal
     result.add(ok_diag, "the 2+2 space reports exactly one off-list normal subgroup, the diagonal")

@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -302,6 +303,50 @@ def test_verify_suite():
     assert "suite.cb-rank: pass" in out
     code, _ = run_cli("verify", "--suite", "nonsense")
     assert code == 2
+
+
+def test_verify_help_and_seed_match_the_verify_module():
+    from scatterkit import verify
+
+    sub = build_parser()._subparsers._group_actions[0].choices["verify"]
+    suite = next(a for a in sub._actions if a.dest == "suite")
+    assert suite.help == f"one of: {', '.join(verify.suite_names())}"
+    assert f"one of: {', '.join(verify.suite_names())}" in " ".join(sub.format_help().split())
+    assert build_parser().parse_args(["verify", "--suite", "all"]).seed == verify.DEFAULT_SEED
+
+
+FRESH = [
+    ("classify", "w^2*3 + w*2 + 5"),
+    ("homeomorphic", "w^2 + w + 1", "w + w^2 + 1"),
+    ("rank", "w^2*3", "--space", "w^2*3 + 1"),
+    ("derive", "w^2 + 1", "--level", "1"),
+    ("profile", "w^2*2 + w + 3"),
+    ("group", "w^2*2 + w + 3"),
+    ("groups-iso", "w^2*2 + 1", "w^2*3 + 1"),
+    ("fspace", "{space}", "--group", "--normal", "--full-transitivity"),
+    ("encode-graph", "{graph}", "--verify"),
+    ("flows", "--n", "3"),
+    ("flows", "--fspace", "{space}"),
+    ("verify", "--suite", "flows"),
+]
+
+
+@pytest.mark.parametrize("argv", FRESH, ids=lambda argv: " ".join(argv[:2]))
+def test_each_command_runs_in_a_fresh_interpreter(tmp_path, argv):
+    """In this process other tests have loaded every module, so a command
+    that uses a module it never imports still passes here; a fresh
+    ``python -m scatterkit`` shows it."""
+    space = tmp_path / "space.txt"
+    space.write_text("a: a\nb: b\nc: a b c\n")
+    graph = tmp_path / "graph.txt"
+    graph.write_text("1 2\n2 3\n")
+    argv = ["--format", "structured", *(a.format(space=space, graph=graph) for a in argv)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatterkit", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    seconds = re.compile(r"^suite\.[^=]*\.seconds=.*$", re.M)
+    assert seconds.sub("", proc.stdout) == seconds.sub("", run_cli(*argv)[1])
 
 
 def test_module_entry_point():

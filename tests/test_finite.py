@@ -192,8 +192,9 @@ def test_cb_data_examples():
 
 
 def _cb_data_reference(space):
-    """CB data with each point's rank found by scanning every level mask:
-    the last level holding the point."""
+    """CB data by the derived-set loop itself, every level testing every
+    point still in it, with each point's rank found by scanning every level
+    mask: the last level holding the point."""
     masks, n = space._masks, space.size
     levels = []
     current = (1 << n) - 1
@@ -219,12 +220,40 @@ def _cb_data_reference(space):
 
 def test_cb_data_matches_rank_scan_reference():
     spaces = [space for n in range(5) for space in enumerate_preorder_spaces(n)]
+    assert len(spaces) == 390  # every labelled topology on at most 4 points
     spaces += [chain_space(30), chain_space(200), discrete_space(5), double_fan_space()]
     for space in spaces:
         data = finite._cb_data(space)
         assert (data.levels, dict(data.rank_of), data.rank, data.scattered) == _cb_data_reference(
             space
         ), space
+
+
+@st.composite
+def preorder_spaces(draw):
+    """A random finite space: random minimal open sets, closed under
+    transitivity (U_x holds U_y for every y in U_x)."""
+    n = draw(st.integers(0, 10))
+    masks = [draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = masks[i]
+            for j in range(n):
+                if (masks[i] >> j) & 1:
+                    grown |= masks[j]
+            changed |= grown != masks[i]
+            masks[i] = grown
+    names = [f"p{i}" for i in range(n)]
+    return FiniteSpace(names, {p: {names[j] for j in range(n) if (m >> j) & 1} for p, m in zip(names, masks)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(preorder_spaces())
+def test_cb_data_matches_rank_scan_reference_on_random_spaces(space):
+    data = finite._cb_data(space)
+    assert (data.levels, dict(data.rank_of), data.rank, data.scattered) == _cb_data_reference(space)
 
 
 def test_rank_of_is_read_only():
