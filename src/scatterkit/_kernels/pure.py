@@ -62,10 +62,40 @@ def search(masks_a, masks_b, cand, limit=0, settled=0):
             return []
         assignment[i] = cand[i].bit_length() - 1
         m &= m - 1
+
+    def narrow(cand, i, low, rest):
+        """Set cand[i] to ``low``, the bit of i's image j, and forward-check
+        the points of ``rest`` against i -> j in place; False when one of
+        them is left with no candidate."""
+        j = low.bit_length() - 1
+        cand[i] = low
+        # The points of rest are grouped by their relation to i (k in
+        # masks_a[i], i in masks_a[k]); a group may map only to points
+        # other than j with the same relation to j.
+        out_i, in_i = masks_a[i], member_a[i]
+        out_j, in_j = masks_b[j] & ~low, member_b[j] & ~low
+        for m, allowed in (
+            (rest & out_i & in_i, out_j & in_j),
+            (rest & out_i & ~in_i, out_j & ~in_j),
+            (rest & ~out_i & in_i, in_j & ~out_j),
+            (rest & ~out_i & ~in_i, ~(out_j | in_j | low)),
+        ):
+            while m:
+                lo = m & -m
+                k = lo.bit_length() - 1
+                m ^= lo
+                c = cand[k] & allowed
+                if not c:
+                    return False
+                cand[k] = c
+        return True
+
     # Depth first on an explicit stack, so the depth is not bounded by
     # Python's recursion limit: one frame [point, options left, cand,
-    # assigned mask] per assigned point, options taken in increasing
-    # order, which is the result order ``limit`` cuts by.
+    # assigned mask] per point branched on, options taken in increasing
+    # order, which is the result order ``limit`` cuts by.  A point with one
+    # candidate left has nothing to branch on: it is assigned in place, in
+    # the state's own cand list, which no frame holds yet.
     stack = []
     cand, assigned_mask = list(cand), settled
     while True:
@@ -90,7 +120,14 @@ def search(masks_a, masks_b, cand, limit=0, settled=0):
                         break
                 m &= m - 1
             if best >= 0:
-                stack.append([best, cand[best], cand, assigned_mask])
+                if best_count > 1:
+                    stack.append([best, cand[best], cand, assigned_mask])
+                else:
+                    bit = 1 << best
+                    if narrow(cand, best, cand[best], full & ~assigned_mask & ~bit):
+                        assignment[best] = cand[best].bit_length() - 1
+                        assigned_mask |= bit
+                        continue
         # Take the next option of the deepest frame that survives forward
         # checking; frames with none left are popped.
         while stack:
@@ -100,36 +137,10 @@ def search(masks_a, masks_b, cand, limit=0, settled=0):
                 stack.pop()
                 continue
             low = options & -options
-            j = low.bit_length() - 1
             frame[1] = options & (options - 1)
             new_cand = list(cand)
-            new_cand[i] = low
-            ok = True
-            # Forward checks.  The unassigned points are grouped by their
-            # relation to i (k in masks_a[i], i in masks_a[k]); a group may
-            # map only to points other than j with the same relation to j.
-            rest = full & ~assigned_mask & ~(1 << i)
-            out_i, in_i = masks_a[i], member_a[i]
-            out_j, in_j = masks_b[j] & ~low, member_b[j] & ~low
-            for m, allowed in (
-                (rest & out_i & in_i, out_j & in_j),
-                (rest & out_i & ~in_i, out_j & ~in_j),
-                (rest & ~out_i & in_i, in_j & ~out_j),
-                (rest & ~out_i & ~in_i, ~(out_j | in_j | low)),
-            ):
-                while m:
-                    lo = m & -m
-                    k = lo.bit_length() - 1
-                    m ^= lo
-                    c = new_cand[k] & allowed
-                    if not c:
-                        ok = False
-                        break
-                    new_cand[k] = c
-                if not ok:
-                    break
-            if ok:
-                assignment[i] = j
+            if narrow(new_cand, i, low, full & ~assigned_mask & ~(1 << i)):
+                assignment[i] = low.bit_length() - 1
                 cand, assigned_mask = new_cand, assigned_mask | (1 << i)
                 break
         else:

@@ -79,11 +79,17 @@ def _max_points(args, default: int | None) -> int | None:
 
 
 def _read(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a parse error naming
+    the offset of the first bad one."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ScatterkitError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
 
 
 def _put_class(out: _Emitter, c: SpaceClass) -> None:
@@ -213,6 +219,7 @@ def cmd_fspace(args, out: _Emitter) -> int:
 
 def cmd_encode_graph(args, out: _Emitter) -> int:
     from . import graphs as gr
+    from ._kernels import _bits
 
     graph = gr.Graph.parse(_read(args.file))
     bound = _max_points(args, gr.DEFAULT_MAX_VERTICES)
@@ -224,9 +231,9 @@ def cmd_encode_graph(args, out: _Emitter) -> int:
     out.put("vertices", graph.size)
     out.put("edges", len(graph.edges))
     out.put("points", space.size)
-    for name in space.points:
-        members = " ".join(sorted(space.min_open[name], key=space.index))
-        out.put(f"min_open.{name}", members)
+    points = space.points
+    for name, mask in zip(points, space._masks):
+        out.put(f"min_open.{name}", " ".join([points[j] for j in _bits(mask)]))
     if args.verify:
         out.put("homeo_order", report.homeo_order)
         out.put("aut_order", report.aut_order)

@@ -68,8 +68,10 @@ MAX_CENSUS = 4096
 class FiniteSpace:
     """A finite topological space given by its minimal open sets.
 
-    ``points`` fixes the reporting order; ``min_open`` maps each point
-    name to the member set of its minimal open neighbourhood.  A space is
+    ``points`` fixes the reporting order, and the space is held as one
+    bitmask per point: bit j of ``_masks[i]`` is set when point j lies in
+    U_i.  ``min_open``, each point name mapped to the member names of its
+    minimal open set, is built from the masks on first read.  A space is
     fixed once built, so ``cb_data``, ``similarity_partition``,
     ``homeo_group`` and ``is_fully_transitive`` each derive their result
     once per space object, keep it in ``_derived`` and hand the same object
@@ -77,44 +79,96 @@ class FiniteSpace:
     """
 
     def __init__(self, points, min_open):
+        """From a table mapping each point name to the member names of its
+        minimal open set.
+
+        Errors come in this order: a point with no entry, then, point by
+        point, an unknown member or a point missing from its own set, then
+        an entry for an unknown point, then the first point (in point
+        order) whose set holds a point with a set not inside its own.
+        """
         points = tuple(points)
-        if len(set(points)) != len(points):
-            raise ValidationError("duplicate point names")
-        index = {name: i for i, name in enumerate(points)}
-        opens, inside, masks = {}, [], []
-        for name in points:
+        index = _point_index(points)
+        masks, inside = [], []
+        for x, name in enumerate(points):
             if name not in min_open:
                 raise ValidationError(f"no minimal open set given for {name!r}")
-            given = list(min_open[name])
             members, mask = [], 0
-            for m in given:
+            for m in min_open[name]:
                 i = index.get(m)
                 if i is None:
                     raise ValidationError(f"unknown point {m!r} in the minimal open set of {name!r}")
                 members.append(i)
                 mask |= 1 << i
-            if not (mask >> index[name]) & 1:
-                raise ValidationError(f"reflexivity violated: {name!r} not in its own minimal open set")
-            opens[name] = frozenset(given)
+            if not (mask >> x) & 1:
+                raise _reflexivity_error(name)
             inside.append(members)
             masks.append(mask)
         for name in min_open:
             if name not in index:
                 raise ValidationError(f"minimal open set given for unknown point {name!r}")
+        self._adopt(points, index, masks, inside)
+
+    @classmethod
+    def from_masks(cls, points, masks) -> FiniteSpace:
+        """From one bitmask per point over the point order: bit j of
+        ``masks[i]`` set when point j lies in U_i.  Validated like a table:
+        point by point, a bit past the last point or a point missing from
+        its own set, then transitivity."""
+        points, masks = tuple(points), tuple(masks)
+        index = _point_index(points)
+        n = len(points)
+        if len(masks) != n:
+            raise ValidationError(f"{len(masks)} minimal open sets given for {n} points")
         for x, mask in enumerate(masks):
-            outside = ~mask
-            for y in inside[x]:
-                if masks[y] & outside:
-                    y = min(z for z in inside[x] if masks[z] & outside)  # the first offender
-                    raise ValidationError(
-                        f"transitivity violated: {points[y]!r} lies in the minimal open set of "
-                        f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
-                    )
+            if mask < 0 or mask >> n:
+                raise ValidationError(
+                    f"minimal open set of {points[x]!r} holds a point outside the space"
+                )
+            if not (mask >> x) & 1:
+                raise _reflexivity_error(points[x])
+        space = cls.__new__(cls)
+        space._adopt(points, index, masks, None)
+        return space
+
+    def _adopt(self, points, index, masks, inside):
+        """Check transitivity and take the masks.  ``inside[x]`` lists the
+        member indices of U_x when the caller has them; otherwise the bits
+        of each mask other than x are walked."""
+        for x, mask in enumerate(masks):
+            union = mask
+            if inside is None:
+                below = mask & ~(1 << x)
+                while below:
+                    low = below & -below
+                    union |= masks[low.bit_length() - 1]
+                    below ^= low
+            else:
+                for y in inside[x]:
+                    union |= masks[y]
+            if union != mask:
+                outside = ~mask
+                y = min(y for y in _bits(mask) if masks[y] & outside)  # the first offender
+                raise ValidationError(
+                    f"transitivity violated: {points[y]!r} lies in the minimal open set of "
+                    f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
+                )
         self.points = points
-        self.min_open = opens
         self._index = index
         self._masks = tuple(masks)
+        self._min_open = None
         self._derived = {}
+
+    @property
+    def min_open(self) -> dict[str, frozenset[str]]:
+        """Each point name -> the member names of its minimal open set."""
+        if self._min_open is None:
+            points = self.points
+            self._min_open = {
+                name: frozenset([points[j] for j in _bits(mask)])
+                for name, mask in zip(points, self._masks)
+            }
+        return self._min_open
 
     def _mask(self, names) -> int:
         mask = 0
@@ -175,10 +229,11 @@ class FiniteSpace:
         return cls(points, table)
 
     def to_text(self) -> str:
-        lines = []
-        for name in self.points:
-            members = sorted(self.min_open[name], key=self._index.__getitem__)
-            lines.append(f"{name}: {' '.join(members)}")
+        points = self.points
+        lines = [
+            f"{name}: {' '.join([points[j] for j in _bits(mask)])}"
+            for name, mask in zip(points, self._masks)
+        ]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
@@ -191,6 +246,18 @@ class FiniteSpace:
 
     def __repr__(self):
         return f"FiniteSpace({list(self.points)!r})"
+
+
+def _point_index(points):
+    """Each point name's position; duplicate names are refused."""
+    index = {name: i for i, name in enumerate(points)}
+    if len(index) != len(points):
+        raise ValidationError("duplicate point names")
+    return index
+
+
+def _reflexivity_error(name):
+    return ValidationError(f"reflexivity violated: {name!r} not in its own minimal open set")
 
 
 def _derive(space, key, compute):
@@ -1031,7 +1098,7 @@ def enumerate_preorder_spaces(n: int, names=None):
     if names is None:
         names = tuple("abcdefghij"[:n])
     if n == 0:
-        yield FiniteSpace((), {})
+        yield FiniteSpace.from_masks((), ())
         return
     choices = []
     for i in range(n):
@@ -1054,8 +1121,7 @@ def enumerate_preorder_spaces(n: int, names=None):
             if not ok:
                 break
         if ok:
-            table = {names[i]: frozenset(names[j] for j in _bits(masks[i])) for i in range(n)}
-            yield FiniteSpace(names, table)
+            yield FiniteSpace.from_masks(names, masks)
 
 
 def enumerate_t0_spaces(n: int, names=None):

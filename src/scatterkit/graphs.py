@@ -20,6 +20,7 @@ from .errors import (
     UnknownPointError,
     ValidationError,
 )
+from ._kernels import pure
 from .finite import FiniteSpace, PermutationGroup, cb_data, homeo_group
 
 __all__ = [
@@ -37,37 +38,40 @@ DEFAULT_MAX_VERTICES = 8
 
 
 class Graph:
-    """A simple undirected graph with named vertices and at least one edge."""
+    """A simple undirected graph with named vertices and at least one edge.
+
+    The edges are kept once as vertex index pairs (a, b) with a < b, in
+    increasing order; ``edges`` and ``sorted_edges`` name them.
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise ValidationError("duplicate vertex names")
-        known = set(self.vertices)
-        seen = set()
-        pairs = []
+        pairs = set()
         for edge in edges:
             u, v = tuple(edge)
             if u == v:
                 raise ValidationError(f"loop at vertex {u!r}")
             for w in (u, v):
-                if w not in known:
+                if w not in index:
                     raise ValidationError(f"unknown vertex {w!r} in edge")
-            key = frozenset((u, v))
-            if key in seen:
+            a, b = index[u], index[v]
+            key = (a, b) if a < b else (b, a)
+            if key in pairs:
                 raise ValidationError(f"duplicate edge {u!r} -- {v!r}")
-            seen.add(key)
-            pairs.append(key)
+            pairs.add(key)
         if not pairs:
             raise ValidationError("a graph must have at least one edge")
-        self.edges = frozenset(pairs)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._pairs = sorted(pairs)
+        self._index = index
         self._adj = [0] * len(self.vertices)
-        for key in self.edges:
-            u, v = sorted(key, key=self._index.__getitem__)
-            iu, iv = self._index[u], self._index[v]
-            self._adj[iu] |= 1 << iv
-            self._adj[iv] |= 1 << iu
+        for a, b in self._pairs:
+            self._adj[a] |= 1 << b
+            self._adj[b] |= 1 << a
+        names = self.vertices
+        self.edges = frozenset([frozenset((names[a], names[b])) for a, b in self._pairs])
 
     @property
     def size(self) -> int:
@@ -77,46 +81,35 @@ class Graph:
         for w in (u, v):
             if w not in self._index:
                 raise UnknownPointError(f"unknown vertex {w!r}")
-        return frozenset((u, v)) in self.edges
+        return (self._adj[self._index[u]] >> self._index[v]) & 1 == 1
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        out = []
-        for key in self.edges:
-            u, v = sorted(key, key=self._index.__getitem__)
-            out.append((u, v))
-        out.sort(key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        return out
+        names = self.vertices
+        return [(names[a], names[b]) for a, b in self._pairs]
 
     @classmethod
     def parse(cls, text: str) -> Graph:
         """One edge per line, ``u v`` or ``u -- v``; ``vertex u`` declares an
         isolated vertex; '#' starts a comment."""
-        vertices: list[str] = []
-        seen = set()
+        vertices = {}  # each name once, in the order first seen
         edges = []
-
-        def note(name):
-            if name not in seen:
-                seen.add(name)
-                vertices.append(name)
-
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.partition("#")[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
             if tokens[0] == "vertex":
                 if len(tokens) != 2:
                     raise ParseError("expected 'vertex <name>'", line=lineno)
-                note(tokens[1])
+                vertices[tokens[1]] = None
                 continue
             if len(tokens) == 3 and tokens[1] == "--":
-                tokens = [tokens[0], tokens[2]]
+                del tokens[1]
             if len(tokens) != 2:
                 raise ParseError("expected 'u v' or 'u -- v'", line=lineno)
-            note(tokens[0])
-            note(tokens[1])
-            edges.append((tokens[0], tokens[1]))
+            u, v = tokens
+            vertices[u] = None
+            vertices[v] = None
+            edges.append((u, v))
         return cls(vertices, edges)
 
     def __repr__(self):
@@ -129,15 +122,17 @@ def edge_name(u: str, v: str) -> str:
 
 def encode(g: Graph) -> FiniteSpace:
     """The space on V and E: vertices isolated, U_e = {e} plus e's endpoints."""
-    table = {v: frozenset([v]) for v in g.vertices}
     order = list(g.vertices)
-    for u, v in g.sorted_edges():
-        e = edge_name(u, v)
-        if e in table:
+    taken = set(order)
+    masks = [1 << i for i in range(len(order))]
+    for a, b in g._pairs:
+        e = edge_name(order[a], order[b])
+        if e in taken:
             raise ValidationError(f"point name collision: {e!r} is already a vertex")
+        taken.add(e)
+        masks.append(1 << len(masks) | 1 << a | 1 << b)
         order.append(e)
-        table[e] = frozenset([e, u, v])
-    return FiniteSpace(order, table)
+    return FiniteSpace.from_masks(order, masks)
 
 
 def aut(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> PermutationGroup:
@@ -301,31 +296,34 @@ def verify_prop24(
 
     data = cb_data(space)
     # The edge points, and each vertex's expected closure (itself and its
-    # incident edges), in one pass over the edges.
-    edge_points, expected_closure = set(), {v: {v} for v in g.vertices}
-    for u, w in g.sorted_edges():
-        e = edge_name(u, w)
-        edge_points.add(e)
-        expected_closure[u].add(e)
-        expected_closure[w].add(e)
-    derived_is_edges = data.levels[1] == edge_points if len(data.levels) > 1 else False
+    # incident edges), as masks over the space's points, in one pass over
+    # the edges.
+    names, masks = g.vertices, space._masks
+    edge_points, expected = 0, [1 << i for i in vertex_idx]
+    for a, b in g._pairs:
+        bit = 1 << space.index(edge_name(names[a], names[b]))
+        edge_points |= bit
+        expected[a] |= bit
+        expected[b] |= bit
+    derived_is_edges = len(data.levels) > 1 and space._mask(data.levels[1]) == edge_points
     second_empty = len(data.levels) > 2 and data.levels[2] == frozenset()
 
+    # closed[i]: the points whose minimal open set holds point i
+    closed = pure.transpose(masks)
     closures_match = True
-    for v in g.vertices:
-        expected = expected_closure[v]
-        actual = space.closure([v])
-        if actual != expected:
+    for v, i, want in zip(names, vertex_idx, expected):
+        if closed[i] != want:
             closures_match = False
-            counterexample = f"closure of {{{v}}} is {sorted(actual)}, expected {sorted(expected)}"
+            actual, want = sorted(space._names(closed[i])), sorted(space._names(want))
+            counterexample = f"closure of {{{v}}} is {actual}, expected {want}"
             break
 
-    isolated = frozenset(p for p in space.points if space.min_open[p] == frozenset([p]))
-    isolated_ok = isolated == frozenset(g.vertices)
+    isolated = sum(1 << p for p, mask in enumerate(masks) if mask == 1 << p)
+    isolated_ok = isolated == sum(1 << i for i in vertex_idx)
 
     return Prop24Report(
         graph_vertices=g.size,
-        graph_edges=len(g.edges),
+        graph_edges=len(g._pairs),
         homeo_order=group.order,
         aut_order=auto.order,
         restriction_injective=injective,

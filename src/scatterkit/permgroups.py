@@ -115,11 +115,11 @@ class PermutationGroup:
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):
             return NotImplemented
+        # of two finite groups of one order, each holds the other if one does
         return (
             self.ground == other.ground
             and self.order == other.order
             and all(g in other for g in self.generators)
-            and all(g in self for g in other.generators)
         )
 
     def __hash__(self):

@@ -163,6 +163,46 @@ def test_fspace_validation_error(tmp_path):
     assert code == 1
 
 
+
+def _run_with_stderr(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command", [["fspace"], ["encode-graph"], ["encode-graph", "--verify"], ["flows", "--fspace"]]
+)
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a: a\n\xff\xfe: b\n")
+    code, out, err = _run_with_stderr(*command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not UTF-8: invalid start byte at byte offset 5\n"
+
+
+def test_files_are_read_as_utf8_with_any_line_ending(tmp_path):
+    path = tmp_path / "space.txt"
+    path.write_bytes("\u00e9: \u00e9\r\nb: b \u00e9\rc: c\n".encode())
+    code, out = run_cli("--format", "structured", "fspace", str(path))
+    assert code == 0 and "block.0=rank 0: \u00e9 c" in out
+
+
+def test_group_and_encoding_commands_never_build_min_open(tmp_path, monkeypatch):
+    from scatterkit import finite
+
+    def refuse(self):
+        raise AssertionError("min_open was built")
+
+    monkeypatch.setattr(finite.FiniteSpace, "min_open", property(refuse))
+    space = tmp_path / "fans.txt"
+    space.write_text("a: a\nb: b\nc: a b c\nd: d\n")
+    graph = tmp_path / "p3.txt"
+    graph.write_text("1 2\n2 3\n")
+    assert run_cli("fspace", str(space), "--group", "--normal", "--full-transitivity")[0] == 0
+    assert run_cli("--format", "structured", "encode-graph", str(graph), "--verify") == (0, P3_VERIFY)
+
 def test_fspace_size_bound_env(tmp_path, monkeypatch):
     path = tmp_path / "five.txt"
     path.write_text("".join(f"p{i}: p{i}\n" for i in range(5)))

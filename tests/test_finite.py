@@ -111,6 +111,148 @@ def test_validation_errors_name_the_first_offender_under_any_hash_seed(tmp_path)
             assert (proc.returncode, proc.stderr) == (1, expected)
 
 
+def _finite_space_reference(points, min_open):
+    """The table constructor as it was when a space built ``min_open``
+    eagerly: (points, masks, min_open) of a valid table, else the
+    ValidationError it raises."""
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise ValidationError("duplicate point names")
+    index = {name: i for i, name in enumerate(points)}
+    opens, inside, masks = {}, [], []
+    for name in points:
+        if name not in min_open:
+            raise ValidationError(f"no minimal open set given for {name!r}")
+        given = list(min_open[name])
+        members, mask = [], 0
+        for m in given:
+            i = index.get(m)
+            if i is None:
+                raise ValidationError(f"unknown point {m!r} in the minimal open set of {name!r}")
+            members.append(i)
+            mask |= 1 << i
+        if not (mask >> index[name]) & 1:
+            raise ValidationError(f"reflexivity violated: {name!r} not in its own minimal open set")
+        opens[name] = frozenset(given)
+        inside.append(members)
+        masks.append(mask)
+    for name in min_open:
+        if name not in index:
+            raise ValidationError(f"minimal open set given for unknown point {name!r}")
+    for x, mask in enumerate(masks):
+        outside = ~mask
+        for y in inside[x]:
+            if masks[y] & outside:
+                y = min(z for z in inside[x] if masks[z] & outside)
+                raise ValidationError(
+                    f"transitivity violated: {points[y]!r} lies in the minimal open set of "
+                    f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
+                )
+    return points, tuple(masks), opens
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _space_outcome(build):
+    def run():
+        space = build()
+        return space.points, space._masks, space.min_open
+
+    return _outcome(run)
+
+
+_NAMES = "abcdef"
+
+
+@st.composite
+def point_tables(draw):
+    """A point list and a table: half the time a real space, each a few
+    mistakes away from one, so every error and every precedence between
+    two of them comes up: a duplicate point, a missing or unknown key, an
+    unknown member, a point missing from its own set, a set not closed."""
+    n = draw(st.integers(0, 6))
+    points = list(_NAMES[:n])
+    masks = [draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n)]
+    if draw(st.booleans()):
+        for _ in range(n):  # close under transitivity
+            for i, j in itertools.product(range(n), repeat=2):
+                if masks[i] >> j & 1:
+                    masks[i] |= masks[j]
+    table = {p: [points[j] for j in range(n) if m >> j & 1] for p, m in zip(points, masks)}
+    for p in table:
+        draw(st.randoms()).shuffle(table[p])
+    mistakes = st.sampled_from(["drop_key", "extra_key", "unknown_member", "drop_self",
+                                "drop_member", "add_member", "duplicate_point"])
+    for mistake in draw(st.lists(mistakes, max_size=3)):
+        if mistake == "extra_key":
+            table[draw(st.sampled_from("xyz"))] = ["x"]
+        elif mistake == "duplicate_point" and points:
+            points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(points)))
+        elif table:
+            key = draw(st.sampled_from(sorted(table)))
+            if mistake == "drop_key":
+                del table[key]
+            elif mistake == "unknown_member":
+                table[key].insert(draw(st.integers(0, len(table[key]))), "z")
+            elif mistake == "drop_self" and key in table[key]:
+                table[key].remove(key)
+            elif mistake == "drop_member" and table[key]:
+                table[key].pop(draw(st.integers(0, len(table[key]) - 1)))
+            elif mistake == "add_member" and points:
+                table[key].append(draw(st.sampled_from(points)))
+    return points, table
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_tables())
+def test_table_constructor_matches_eager_reference(case):
+    """Same masks and min_open on valid tables, and on invalid ones the
+    same error, first missing point, then per point an unknown member or
+    a point outside its own set, then an unknown key, then the first
+    transitivity offender."""
+    points, table = case
+    want = _outcome(lambda: _finite_space_reference(points, table))
+    assert _space_outcome(lambda: FiniteSpace(points, table)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)),
+    st.booleans(),
+)
+def test_mask_constructor_matches_eager_reference(masks, reflexive):
+    """A mask list validates like the table that names the same sets."""
+    if reflexive:  # so that transitivity, not reflexivity, decides most lists
+        masks = [m | 1 << i for i, m in enumerate(masks)]
+    points = _NAMES[:len(masks)]
+    table = {p: [points[j] for j in range(len(masks)) if m >> j & 1] for p, m in zip(points, masks)}
+    want = _outcome(lambda: _finite_space_reference(points, table))
+    assert _space_outcome(lambda: FiniteSpace.from_masks(points, masks)) == want
+
+
+def test_mask_constructor_rejects_points_outside_the_space():
+    with pytest.raises(ValidationError, match="'b' holds a point outside the space"):
+        FiniteSpace.from_masks("ab", [0b01, 0b110])
+    with pytest.raises(ValidationError, match="outside the space"):
+        FiniteSpace.from_masks("a", [-1])
+    with pytest.raises(ValidationError, match="2 minimal open sets given for 1 points"):
+        FiniteSpace.from_masks("a", [1, 1])
+    with pytest.raises(ValidationError, match="duplicate point names"):
+        FiniteSpace.from_masks("aa", [1, 2])
+
+
+def test_min_open_is_built_on_first_read():
+    space = FiniteSpace.parse("a: a\nb: b\nc: a b c\n")
+    assert space._min_open is None
+    assert space.min_open == {"a": {"a"}, "b": {"b"}, "c": {"a", "b", "c"}}
+    assert space.min_open is space.min_open
+
+
 def test_long_chain_validates_quickly():
     start = time.perf_counter()
     space = chain_space(1100)

@@ -95,6 +95,55 @@ def test_graph_parse_round_trip():
         assert back.sorted_edges() == g.sorted_edges(), g
 
 
+def _graph_reference(vertices, edges):
+    """Graph validation as it was on name pairs: (vertices, edges, sorted
+    edges) of a valid graph, else the ValidationError it raises."""
+    vertices = tuple(vertices)
+    if len(set(vertices)) != len(vertices):
+        raise ValidationError("duplicate vertex names")
+    seen, pairs = set(), []
+    for edge in edges:
+        u, v = tuple(edge)
+        if u == v:
+            raise ValidationError(f"loop at vertex {u!r}")
+        for w in (u, v):
+            if w not in vertices:
+                raise ValidationError(f"unknown vertex {w!r} in edge")
+        key = frozenset((u, v))
+        if key in seen:
+            raise ValidationError(f"duplicate edge {u!r} -- {v!r}")
+        seen.add(key)
+        pairs.append(key)
+    if not pairs:
+        raise ValidationError("a graph must have at least one edge")
+    index = {v: i for i, v in enumerate(vertices)}
+    ordered = sorted(tuple(sorted(key, key=index.__getitem__)) for key in pairs)
+    ordered.sort(key=lambda e: (index[e[0]], index[e[1]]))
+    return vertices, frozenset(pairs), ordered
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+_vertex = st.sampled_from("abcdx")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_vertex, max_size=5), st.lists(st.tuples(_vertex, _vertex), max_size=8))
+def test_graph_validation_matches_name_pair_reference(vertices, edges):
+    """Edges are validated on vertex indices with the same errors, in the
+    same order, as on name pairs, and kept in the same order."""
+    def build():
+        g = Graph(vertices, edges)
+        return g.vertices, g.edges, g.sorted_edges()
+
+    assert _outcome(build) == _outcome(lambda: _graph_reference(vertices, edges))
+
+
 # --- encoding -------------------------------------------------------------------
 
 def test_encode_single_edge():
@@ -116,6 +165,42 @@ def test_encode_triangle_derived_set():
     data = cb_data(space)
     assert data.levels[1] == {edge_name(a, b) for a, b in itertools.combinations("012", 2)}
     assert data.levels[2] == frozenset()
+
+
+def _encode_reference(g):
+    """The encoding as it was built from a name table, with ``min_open``
+    made eagerly by the table constructor."""
+    table = {v: frozenset([v]) for v in g.vertices}
+    order = list(g.vertices)
+    for u, v in g.sorted_edges():
+        e = edge_name(u, v)
+        if e in table:
+            raise ValidationError(f"point name collision: {e!r} is already a vertex")
+        order.append(e)
+        table[e] = frozenset([e, u, v])
+    return FiniteSpace(order, table), table
+
+
+def test_encode_matches_name_table_reference():
+    rng = random.Random(22)
+    cases = [g for n in range(2, 5) for g in enumerate_graphs(n, up_to_iso=False)]
+    cases += [random_graph(rng.randint(2, 8), rng) for _ in range(40)]
+    cases += [petersen(), complete(8)]
+    for g in cases:
+        want, table = _encode_reference(g)
+        space = encode(g)
+        assert (space.points, space._masks) == (want.points, want._masks), g
+        assert space.min_open == table, g
+
+
+def test_encode_refuses_name_collisions_like_the_reference():
+    cases = [
+        Graph(("a", "b", "a--b"), [("a", "b")]),  # an edge named like a vertex
+        Graph(("a--b", "c", "a", "b--c"), [("a--b", "c"), ("a", "b--c")]),  # two edges alike
+    ]
+    for g in cases:
+        assert _outcome(lambda: encode(g)) == _outcome(lambda: _encode_reference(g))
+        assert _outcome(lambda: encode(g))[1].startswith("point name collision: ")
 
 
 def test_encoding_is_scattered_t0_not_t1():
@@ -362,13 +447,48 @@ _graph_text = st.one_of(
 )
 
 
+def _graph_parse_reference(text):
+    """Graph.parse as it was: vertices noted through a seen set, each line
+    stripped before it is split."""
+    vertices, seen, edges = [], set(), []
+
+    def note(name):
+        if name not in seen:
+            seen.add(name)
+            vertices.append(name)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "vertex":
+            if len(tokens) != 2:
+                raise ParseError("expected 'vertex <name>'", line=lineno)
+            note(tokens[1])
+            continue
+        if len(tokens) == 3 and tokens[1] == "--":
+            tokens = [tokens[0], tokens[2]]
+        if len(tokens) != 2:
+            raise ParseError("expected 'u v' or 'u -- v'", line=lineno)
+        note(tokens[0])
+        note(tokens[1])
+        edges.append((tokens[0], tokens[1]))
+    return Graph(vertices, edges)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_graph_text)
 def test_graph_parse_fuzz(text):
-    try:
-        Graph.parse(text)
-    except ScatterkitError:
-        pass
+    """Any text parses to the reference's graph or fails with its error."""
+    def outcome(parse):
+        try:
+            g = parse(text)
+        except ScatterkitError as exc:
+            return type(exc), str(exc)
+        return g.vertices, g.edges, g.sorted_edges()
+
+    assert outcome(Graph.parse) == outcome(_graph_parse_reference)
 
 
 @settings(max_examples=60, deadline=None)

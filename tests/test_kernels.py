@@ -217,18 +217,34 @@ def _search_reference(masks_a, masks_b, cand, limit=0):
             st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
             st.integers(1, 12),
         )
-    )
+    ),
+    st.booleans(),
 )
-def test_search_matches_recursive_reference(case):
+def test_search_matches_recursive_reference(case, graph):
     n, seed, cand, limit = case
     rng = random.Random(seed)
-    masks_a = random_structure(rng, n)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    masks_b = relabelled(masks_a, perm) if rng.random() < 0.7 else random_structure(rng, n)
-    # Full candidate sets half the time, so long result lists are common too.
-    if rng.random() < 0.5:
-        cand = [(1 << n) - 1] * n
+    if graph:
+        # A relabelled graph encoding, up to 36 points: with the refined
+        # candidates and a few pins most points have one candidate left,
+        # so the forced chains are long.
+        masks_a = list(encode(random_graph(rng.randint(2, 8), rng))._masks)
+        n = len(masks_a)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        masks_b = relabelled(masks_a, perm)
+        cand = candidates(masks_a, masks_b)
+        for i in rng.sample(range(n), rng.randint(0, 3)):
+            # a pin inside the cell, or now and then anywhere
+            targets = list(_bits(cand[i])) if rng.random() < 0.8 else range(n)
+            cand[i] &= 1 << rng.choice(targets)
+    else:
+        masks_a = random_structure(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        masks_b = relabelled(masks_a, perm) if rng.random() < 0.7 else random_structure(rng, n)
+        # Full candidate sets half the time, so long result lists are common too.
+        if rng.random() < 0.5:
+            cand = [(1 << n) - 1] * n
     full = _search_reference(masks_a, masks_b, cand)
     assert pure.search(masks_a, masks_b, cand) == full
     assert pure.search(masks_a, masks_b, cand, limit) == full[:limit]

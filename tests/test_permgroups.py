@@ -210,6 +210,26 @@ def test_equal_orders_do_not_make_groups_equal():
     assert swap_front == group_from_elements(range(4), [(0, 1, 2, 3), (1, 0, 2, 3)])
 
 
+
+def test_groups_of_one_order_sharing_elements_are_unequal():
+    """Equality checks one inclusion once ground and order match; the
+    Klein group and the cyclic group of order 4 share (0 2)(1 3) but are
+    unequal, and each side's generators already show it."""
+    klein = PermutationGroup.from_generators(range(4), [(1, 0, 3, 2), (2, 3, 0, 1)])
+    cyclic = PermutationGroup.from_generators(range(4), [(1, 2, 3, 0)])
+    assert klein.order == cyclic.order == 4
+    assert (2, 3, 0, 1) in klein and (2, 3, 0, 1) in cyclic
+    assert klein != cyclic and cyclic != klein
+    assert klein != PermutationGroup.from_generators("abcd", [(1, 0, 3, 2), (2, 3, 0, 1)])
+    rng = random.Random(22)
+    perms = list(itertools.permutations(range(4)))
+    for _ in range(300):
+        a, b = (
+            PermutationGroup.from_generators(range(4), rng.sample(perms, rng.randint(0, 2)))
+            for _ in range(2)
+        )
+        assert (a == b) == (b == a) == (a.elements == b.elements)
+
 def test_no_group_is_built_from_an_unclosed_element_set():
     """Three elements of S3 that are not closed under composition: there is
     no element-set constructor to trust them, and as generators they give S3."""
