@@ -6,10 +6,10 @@ the bijections p with p(masks_a[i]) == masks_b[p(i)] for every i.  With
 minimal-open-set masks these are exactly the homeomorphisms of a finite
 Alexandrov space; with adjacency masks they are graph isomorphisms.
 
-Refinement (``refine_colors``) is a splitter queue on bitmask cells; its
-cells become each point's candidate images (``candidates``), and the
-points whose cell is a singleton are *settled* (``settled``), which the
-search assigns up front and never checks again.  The search itself is
+Refinement (``refine_colors``) is a splitter queue on bitmask cells.  It
+hands the search each point's candidate images, read off its cell, and
+the *settled* points, those alone in their cell, which the search
+assigns up front and never checks again.  The search itself is
 ``pure.search``, on arbitrary-size Python ints, so there is no point
 ceiling.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import pure
 
-__all__ = ["isomorphisms", "backend_name", "candidates", "refine_colors", "settled"]
+__all__ = ["isomorphisms", "backend_name", "refine_colors"]
 
 
 def backend_name() -> str:
@@ -36,8 +36,15 @@ def _bits(mask):
 def refine_colors(masks_a, masks_b):
     """Jointly refine both structures to their coarsest equitable partition.
 
-    Returns the cells as (points of a, points of b) bitmask pairs, or None
-    when refinement refutes the pair, in which case no isomorphism exists.
+    Returns ``(cand, settled)``, or None when refinement refutes the pair,
+    in which case no isomorphism exists.  ``cand[i]`` is the bitmask of the
+    points of b in the cell of a's point i: its candidate images.
+    ``settled`` is the bitmask of the points of a alone in their cell.
+    Every cell agrees on membership with respect to a singleton cell
+    {s} -> {t}: for x, y in one cell, s in masks_a[x] iff t in masks_b[y],
+    and x in masks_a[s] iff y in masks_b[t].  So every constraint between
+    a settled point and a point mapped within its cell already holds, and
+    ``pure.search`` assigns settled points up front and never checks them.
 
     Two structures are refined as one: their disjoint union, b's points
     shifted up by n, starting from a single cell.  A cell S taken from
@@ -63,15 +70,17 @@ def refine_colors(masks_a, masks_b):
     if len(masks_b) != n:
         return None
     if not n:
-        return []
+        return [], 0
     same = masks_a is masks_b
     member = pure.transpose(masks_a)
+    lower = (1 << n) - 1
     if same:
-        masks, lower, size = masks_a, 0, n
+        masks, shift = masks_a, 0
     else:
         masks = list(masks_a) + [m << n for m in masks_b]
         member += [m << n for m in pure.transpose(masks_b)]
-        lower, size = (1 << n) - 1, 2 * n
+        shift = n
+    size = n + shift
     near_of = [a | b for a, b in zip(masks, member)]
     cells, cell_of = [(1 << size) - 1], [0] * size
     queue, queued = [0], [True]
@@ -122,49 +131,27 @@ def refine_colors(masks_a, masks_b):
                     low = part & -part
                     cell_of[low.bit_length() - 1] = new
                     part ^= low
-    if same:
-        return [(cell, cell) for cell in cells]
-    return [(cell & lower, cell >> n) for cell in cells]
-
-
-def candidates(masks_a, masks_b):
-    """Each point's cell after joint refinement, as the bitmask of the
-    points of b it may map to, or None when refinement refutes the pair."""
-    cells = refine_colors(masks_a, masks_b)
-    if cells is None:
-        return None
-    cand = [0] * len(masks_a)
-    for points_a, points_b in cells:
-        for i in _bits(points_a):
-            cand[i] = points_b
-    return cand
-
-
-def settled(cand):
-    """The points with exactly one candidate image, as a bitmask.
-
-    Taken from ``candidates`` (before any pin), these are the singleton
-    cells of the joint equitable partition.  Every cell agrees on
-    membership with respect to a singleton cell, so every constraint
-    between a settled point and a point mapped within its cell already
-    holds; ``pure.search`` assigns them up front and never checks them.
-    """
-    return sum(1 << i for i, c in enumerate(cand) if not c & (c - 1))
+    settled = 0
+    for cell in cells:
+        points_a = cell & lower
+        if not points_a & (points_a - 1):
+            settled |= points_a
+    return [cells[c] >> shift for c in cell_of[:n]], settled
 
 
 def isomorphisms(masks_a, masks_b, pins=(), limit=0):
     """All bijections p with p(masks_a[i]) == masks_b[p(i)], as index tuples.
 
-    The candidate images of each point are its cell under ``candidates``;
+    The candidate images of each point are its cell under ``refine_colors``;
     ``pins`` forces individual images, ``limit`` > 0 stops the search after
     that many bijections.  Results are in a deterministic order.
     """
-    cand = candidates(masks_a, masks_b)
-    if cand is None:
+    refined = refine_colors(masks_a, masks_b)
+    if refined is None:
         return []
-    fixed = settled(cand)
+    cand, settled = refined
     for i, j in pins:
         cand[i] &= 1 << j
         if not cand[i]:
             return []
-    return pure.search(masks_a, masks_b, cand, limit, fixed)
+    return pure.search(masks_a, masks_b, cand, limit, settled)

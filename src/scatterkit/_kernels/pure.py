@@ -35,18 +35,15 @@ def search(masks_a, masks_b, cand, limit=0, settled=0):
     which at a full assignment is equivalent to p(masks_a[i]) ==
     masks_b[p(i)] for all i.
 
-    ``settled`` is a bitmask of points whose cell in the joint equitable
-    partition of ``candidates`` is a singleton, with ``cand`` inside those
-    cells (pins may narrow it).  Each is assigned its one candidate up
-    front; it is never branched on and never forward-checked.  This is
-    safe because every cell agrees on membership with respect to a
-    singleton cell {s} -> {t}: for x, y in one cell, s in masks_a[x] iff
-    t in masks_b[y], and x in masks_a[s] iff y in masks_b[t].  So each
-    constraint against a settled point already holds, its forward checks
-    narrow nothing, and as it never changes another point's candidates,
-    the points branched on, the results and their order are the same as
-    without ``settled``.  A settled point with no candidate left (a
-    contradicting pin) means no result.
+    ``settled`` is the mask of points alone in their cell that
+    ``refine_colors`` returns, with ``cand`` inside those cells (pins may
+    narrow it).  Each is assigned its one candidate up front; it is never
+    branched on and never forward-checked.  Each constraint against a
+    settled point already holds (``refine_colors`` gives the reason), so
+    its forward checks narrow nothing, and as it never changes another
+    point's candidates, the points branched on, the results and their
+    order are the same as without ``settled``.  A settled point with no
+    candidate left (a contradicting pin) means no result.
     """
     n = len(masks_a)
     member_b = transpose(masks_b)

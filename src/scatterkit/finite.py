@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import factorial, prod
 from types import MappingProxyType
 
-from ._kernels import _bits, candidates, isomorphisms, pure, settled
+from ._kernels import _bits, isomorphisms, pure, refine_colors
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -89,25 +89,23 @@ class FiniteSpace:
         """
         points = tuple(points)
         index = _point_index(points)
-        masks, inside = [], []
+        masks = []
         for x, name in enumerate(points):
             if name not in min_open:
                 raise ValidationError(f"no minimal open set given for {name!r}")
-            members, mask = [], 0
+            mask = 0
             for m in min_open[name]:
                 i = index.get(m)
                 if i is None:
                     raise ValidationError(f"unknown point {m!r} in the minimal open set of {name!r}")
-                members.append(i)
                 mask |= 1 << i
             if not (mask >> x) & 1:
                 raise _reflexivity_error(name)
-            inside.append(members)
             masks.append(mask)
         for name in min_open:
             if name not in index:
                 raise ValidationError(f"minimal open set given for unknown point {name!r}")
-        self._adopt(points, index, masks, inside)
+        self._adopt(points, index, masks)
 
     @classmethod
     def from_masks(cls, points, masks) -> FiniteSpace:
@@ -128,31 +126,25 @@ class FiniteSpace:
             if not (mask >> x) & 1:
                 raise _reflexivity_error(points[x])
         space = cls.__new__(cls)
-        space._adopt(points, index, masks, None)
+        space._adopt(points, index, masks)
         return space
 
-    def _adopt(self, points, index, masks, inside):
-        """Check transitivity and take the masks.  ``inside[x]`` lists the
-        member indices of U_x when the caller has them; otherwise the bits
-        of each mask other than x are walked."""
+    def _adopt(self, points, index, masks):
+        """Check transitivity and take the masks: for each x, the members
+        of U_x other than x are walked in point order, and the first whose
+        set is not inside U_x is reported."""
         for x, mask in enumerate(masks):
-            union = mask
-            if inside is None:
-                below = mask & ~(1 << x)
-                while below:
-                    low = below & -below
-                    union |= masks[low.bit_length() - 1]
-                    below ^= low
-            else:
-                for y in inside[x]:
-                    union |= masks[y]
-            if union != mask:
-                outside = ~mask
-                y = min(y for y in _bits(mask) if masks[y] & outside)  # the first offender
-                raise ValidationError(
-                    f"transitivity violated: {points[y]!r} lies in the minimal open set of "
-                    f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
-                )
+            outside = ~mask
+            below = mask & ~(1 << x)
+            while below:
+                low = below & -below
+                y = low.bit_length() - 1
+                if masks[y] & outside:
+                    raise ValidationError(
+                        f"transitivity violated: {points[y]!r} lies in the minimal open set of "
+                        f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
+                    )
+                below ^= low
         self.points = points
         self._index = index
         self._masks = tuple(masks)
@@ -452,11 +444,12 @@ def _similarity_partition(space):
     )
 
 
-def _stabiliser_chain(masks, cand):
+def _stabiliser_chain(masks, refined):
     """The chain of the group of permutations p with p(masks[i]) ==
-    masks[p(i)] and p(i) in cand[i] for every i, from pinned kernel
-    searches; ``cand`` gives each point its cell in the equitable partition
-    of ``candidates``, which every such p preserves.
+    masks[p(i)] for every i, from pinned kernel searches.  ``refined`` is
+    ``refine_colors(masks, masks)``: each point's cell in the coarsest
+    equitable partition, which every such p preserves, and the settled
+    points, those alone in their cell.
 
     Level i pins 0..i-1 to themselves.  The orbit of i is first grown by
     closure under the elements already found that fix that prefix; then
@@ -466,12 +459,12 @@ def _stabiliser_chain(masks, cand):
     either finds one or shows the prefix's pointwise stabiliser is
     trivial, which ends the chain, so a rigid structure costs at most one
     search.  A point whose cell holds no other unpinned point is fixed,
-    and its level needs no search.  The points whose cell is a singleton
-    are ``settled`` for every search: assigned up front, never checked.
+    and its level needs no search.  The settled points are passed to every
+    search: assigned up front, never checked.
     """
     n = len(masks)
     identity = tuple(range(n))
-    fixed = settled(cand)
+    cand, fixed = refined
     pinned = list(cand)
     chain = []
     known = []  # elements found so far that fix 0..i-1
@@ -504,7 +497,7 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
     stabiliser chain on the base of the point order.
 
     The candidate images of a point are its cell under colour refinement
-    from the uniform colouring (``candidates``), which already separates
+    from the uniform colouring (``refine_colors``), which already separates
     the CB rank, the minimal open size and the closure size;
     ``_stabiliser_chain`` then makes the pinned kernel searches.  No
     element is listed until one is asked for.
@@ -519,7 +512,7 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
 
 def _homeo_group(space):
     masks = space._masks
-    chain = _stabiliser_chain(masks, candidates(masks, masks))
+    chain = _stabiliser_chain(masks, refine_colors(masks, masks))
     return PermutationGroup._from_chain(space.points, chain)
 
 
@@ -640,9 +633,6 @@ def _direct_failure(space, part):
             pinned[i] = 1 << i
         for y in others:
             pinned[xs[-1]] = 1 << y
-            # No point is passed as settled: the similarity blocks are not
-            # an equitable partition, so the constraints against a point
-            # alone in its block still need checking.
             if not pure.search(masks, masks, pinned, 1):
                 return (
                     tuple(space.points[i] for i in xs),
@@ -691,9 +681,12 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
     disjoint clopen piece around y, identity elsewhere.
 
     The pieces are clopen in the subspace obtained by deleting the fixed
-    set; the glued permutation is returned only after verifying it is a
-    homeomorphism of the whole space, since deleting points can hide
-    minimal opens that straddle a piece.
+    set, which can hide minimal opens that straddle a piece.  So after a
+    piece-local search finds the pieces isomorphic with x -> y, one pinned
+    search on the whole space asks for a homeomorphism p fixing every
+    point outside the pieces, exchanging them and sending x to y.  The
+    swap glued from p on x's piece and its inverse is then one too, and
+    every homeomorphic swap is such a p.
     """
     ix, iy = space.index(x), space.index(y)
     fixed = tuple(fixed)
@@ -730,30 +723,36 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
         )
     sub_a = _submasks(space, comp_x)
     sub_b = _submasks(space, comp_y)
-    isos = isomorphisms(sub_a, sub_b, pins=[(comp_x.index(ix), comp_y.index(iy))])
-    if not isos:
+    if not isomorphisms(sub_a, sub_b, pins=[(comp_x.index(ix), comp_y.index(iy))], limit=1):
         return SwapResult(
             False, None,
             "the clopen pieces around x and y admit no isomorphism carrying x to y",
             piece_x, piece_y,
         )
-    for iso in isos:
-        perm = list(range(n))
-        for l, m in enumerate(iso):
-            perm[comp_x[l]] = comp_y[m]
-            perm[comp_y[m]] = comp_x[l]
-        if _is_homeo(space, perm):
-            return SwapResult(
-                True,
-                {space.points[i]: space.points[perm[i]] for i in range(n)},
-                None,
-                piece_x,
-                piece_y,
-            )
+    cand = [1 << i for i in range(n)]
+    for i in comp_x:
+        cand[i] = comp_of[iy]
+    for i in comp_y:
+        cand[i] = comp_of[ix]
+    cand[ix] = 1 << iy
+    found = pure.search(space._masks, space._masks, cand, 1)
+    if not found:
+        return SwapResult(
+            False, None,
+            "every candidate swap breaks a minimal open set that meets the fixed set",
+            piece_x, piece_y,
+        )
+    p, perm = found[0], list(range(n))
+    for i in comp_x:
+        perm[i], perm[p[i]] = p[i], i
+    if not _is_homeo(space, perm):
+        raise InternalCheckError(f"the swap of {x!r} and {y!r} glued from a homeomorphism is not one")
     return SwapResult(
-        False, None,
-        "every candidate swap breaks a minimal open set that meets the fixed set",
-        piece_x, piece_y,
+        True,
+        {space.points[i]: space.points[perm[i]] for i in range(n)},
+        None,
+        piece_x,
+        piece_y,
     )
 
 
@@ -1091,12 +1090,12 @@ def verify_remark19(space: FiniteSpace) -> Remark19Report:
     )
 
 
-def enumerate_preorder_spaces(n: int, names=None):
-    """All labelled topologies on n points, as minimal-open presentations."""
+def enumerate_preorder_spaces(n: int):
+    """All labelled topologies on n points a, b, c, ..., as minimal-open
+    presentations."""
     if n > 5:
         raise BoundExceededError("labelled-topology enumeration is limited to 5 points")
-    if names is None:
-        names = tuple("abcdefghij"[:n])
+    names = tuple("abcde"[:n])
     if n == 0:
         yield FiniteSpace.from_masks((), ())
         return
@@ -1124,7 +1123,7 @@ def enumerate_preorder_spaces(n: int, names=None):
             yield FiniteSpace.from_masks(names, masks)
 
 
-def enumerate_t0_spaces(n: int, names=None):
-    for space in enumerate_preorder_spaces(n, names):
+def enumerate_t0_spaces(n: int):
+    for space in enumerate_preorder_spaces(n):
         if len(set(space._masks)) == space.size:
             yield space

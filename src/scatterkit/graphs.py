@@ -70,8 +70,11 @@ class Graph:
         for a, b in self._pairs:
             self._adj[a] |= 1 << b
             self._adj[b] |= 1 << a
+
+    @property
+    def edges(self) -> frozenset[frozenset[str]]:
         names = self.vertices
-        self.edges = frozenset([frozenset((names[a], names[b])) for a, b in self._pairs])
+        return frozenset([frozenset((names[a], names[b])) for a, b in self._pairs])
 
     @property
     def size(self) -> int:
@@ -113,7 +116,7 @@ class Graph:
         return cls(vertices, edges)
 
     def __repr__(self):
-        return f"Graph({list(self.vertices)!r}, {len(self.edges)} edges)"
+        return f"Graph({list(self.vertices)!r}, {len(self._pairs)} edges)"
 
 
 def edge_name(u: str, v: str) -> str:

@@ -53,16 +53,16 @@ class SuiteResult:
         return ok
 
 
-def random_ordinal(rng: random.Random, max_terms: int = 3, coeff_max: int = 4) -> Ordinal:
-    """A random ordinal with pool exponents, pool coefficients 1..4 and an
-    optional finite tail; covers zero, successors and limits."""
-    count = rng.randint(0, max_terms)
+def random_ordinal(rng: random.Random) -> Ordinal:
+    """A random ordinal with up to three pool exponents, coefficients 1..4
+    and an optional finite tail; covers zero, successors and limits."""
+    count = rng.randint(0, 3)
     exponents = sorted(rng.sample(POOL, count), reverse=True)
     value = ZERO
     for e in exponents:
-        value = add(value, omega_power(e, rng.randint(1, coeff_max)))
+        value = add(value, omega_power(e, rng.randint(1, 4)))
     if rng.random() < 0.5:
-        value = add(value, Ordinal.from_int(rng.randint(1, coeff_max)))
+        value = add(value, Ordinal.from_int(rng.randint(1, 4)))
     return value
 
 
@@ -118,10 +118,10 @@ def suite_ordinal_laws(seed: int = DEFAULT_SEED) -> SuiteResult:
 # criterion 2: classifier laws and the canonical grid
 
 
-def _canonical_grid(k_max: int = 4):
-    classes = [SpaceClass(Family.FINITE, k) for k in range(0, k_max + 1)]
+def _canonical_grid():
+    classes = [SpaceClass(Family.FINITE, k) for k in range(0, 5)]
     for alpha in POOL:
-        for k in range(1, k_max + 1):
+        for k in range(1, 5):
             classes.append(SpaceClass(Family.COMPACT_INFINITE, k, alpha))
             classes.append(SpaceClass(Family.LIMIT_PURE, k, alpha))
             for beta in POOL:
@@ -355,10 +355,10 @@ def suite_flows(seed: int = DEFAULT_SEED) -> SuiteResult:
 # criterion 7: the isomorphism oracle over the descriptor grid
 
 
-def _descriptor_grid(k_max: int = 3):
+def _descriptor_grid():
     out = []
     for alpha in POOL:
-        for k in range(1, k_max + 1):
+        for k in range(1, 4):
             out.append(gp.G(alpha, k))
             out.append(gp.H(alpha, k))
             for beta in POOL:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterkit import cli, finite
+from scatterkit._kernels import _bits, isomorphisms
 from scatterkit.errors import (
     BoundExceededError,
     DomainError,
@@ -37,6 +38,7 @@ from scatterkit.finite import (
     similar_exhaustive,
     similarity_partition,
     similarity_witness,
+    SwapResult,
     swap_homeo,
     verify_remark19,
 )
@@ -766,6 +768,71 @@ def test_swap_precondition_errors():
         swap_homeo(CHAIN3, "a", "c", [])
     with pytest.raises(DomainError, match="avoid"):
         swap_homeo(CHAIN3, "a", "b", ["a"])
+
+
+def _swap_reference(space, x, y, fixed):
+    """The swap by enumeration: every isomorphism of the two pieces that
+    carries x to y is glued with its inverse, and the first glued
+    permutation that is a homeomorphism is returned."""
+    n = space.size
+    ix, iy = space.index(x), space.index(y)
+    rest = sum(1 << i for i in range(n)) & ~sum(1 << space.index(f) for f in fixed)
+    comp_of = finite._components(n, [m & rest for m in space._masks], rest)
+    if comp_of[ix] == comp_of[iy]:
+        return SwapResult(
+            False,
+            None,
+            "x and y lie in the same connected component of the space minus the "
+            "fixed set, so no disjoint clopen pieces around them exist",
+        )
+    comp_x, comp_y = tuple(_bits(comp_of[ix])), tuple(_bits(comp_of[iy]))
+    pieces = (tuple(space.points[i] for i in comp_x), tuple(space.points[i] for i in comp_y))
+    if len(comp_x) != len(comp_y):
+        return SwapResult(False, None, "the clopen pieces around x and y have different sizes", *pieces)
+    isos = isomorphisms(
+        finite._submasks(space, comp_x),
+        finite._submasks(space, comp_y),
+        pins=[(comp_x.index(ix), comp_y.index(iy))],
+    )
+    if not isos:
+        reason = "the clopen pieces around x and y admit no isomorphism carrying x to y"
+        return SwapResult(False, None, reason, *pieces)
+    for iso in isos:
+        perm = list(range(n))
+        for l, m in enumerate(iso):
+            perm[comp_x[l]] = comp_y[m]
+            perm[comp_y[m]] = comp_x[l]
+        if finite._is_homeo(space, perm):
+            return SwapResult(True, {space.points[i]: space.points[perm[i]] for i in range(n)}, None, *pieces)
+    reason = "every candidate swap breaks a minimal open set that meets the fixed set"
+    return SwapResult(False, None, reason, *pieces)
+
+
+def test_swap_matches_the_enumerating_reference_on_small_spaces():
+    cases = 0
+    for n in range(5):
+        for space in enumerate_preorder_spaces(n):
+            for x, y in itertools.permutations(space.points, 2):
+                if not similar(space, x, y):
+                    continue
+                rest = [p for p in space.points if p not in (x, y)]
+                for r in range(len(rest) + 1):
+                    for fixed in itertools.combinations(rest, r):
+                        want = _swap_reference(space, x, y, fixed)
+                        assert swap_homeo(space, x, y, fixed) == want, (space, x, y, fixed)
+                        cases += 1
+    assert cases == 4192
+
+
+def test_swap_of_fan_centres_makes_one_search():
+    # enumerating the pieces' isomorphisms would list 12! of them
+    space = fan_forest((12, 12))
+    start = time.perf_counter()
+    result = swap_homeo(space, "c0", "c1")
+    assert time.perf_counter() - start < 0.1
+    assert result.ok
+    assert result.permutation["c0"] == "c1" and result.permutation["c1"] == "c0"
+    assert sorted(result.permutation.values()) == sorted(space.points)
 
 
 # --- normal subgroups ----------------------------------------------------------------

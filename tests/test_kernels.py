@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterkit._kernels import _bits, backend_name, candidates, isomorphisms, pure, refine_colors, settled
+from scatterkit._kernels import _bits, backend_name, isomorphisms, pure, refine_colors
 from scatterkit.finite import cb_data, enumerate_preorder_spaces
 from scatterkit.graphs import encode, random_graph
 from scatterkit.verify import chain_space, discrete_space, double_fan_space, star_space
@@ -232,7 +232,7 @@ def test_search_matches_recursive_reference(case, graph):
         perm = list(range(n))
         rng.shuffle(perm)
         masks_b = relabelled(masks_a, perm)
-        cand = candidates(masks_a, masks_b)
+        cand, _ = refine_colors(masks_a, masks_b)
         for i in rng.sample(range(n), rng.randint(0, 3)):
             # a pin inside the cell, or now and then anywhere
             targets = list(_bits(cand[i])) if rng.random() < 0.8 else range(n)
@@ -258,10 +258,10 @@ def test_search_with_settled_points_matches_search_without(n, seed, limit, relab
     perm = list(range(n))
     rng.shuffle(perm)
     masks_b = relabelled(masks_a, perm) if relabel else _random_masks(rng, n)
-    cand = candidates(masks_a, masks_b)
-    if cand is None:
+    refined = refine_colors(masks_a, masks_b)
+    if refined is None:
         return
-    fixed = settled(cand)
+    cand, fixed = refined
     for i in rng.sample(range(n), rng.randint(0, n)):
         cand[i] &= 1 << rng.randrange(n)  # a random pin, which may contradict the cell
     full = pure.search(masks_a, masks_b, cand)
@@ -272,7 +272,7 @@ def test_search_with_settled_points_matches_search_without(n, seed, limit, relab
 
 def test_pins_on_settled_points():
     masks = [0b001, 0b010, 0b111]  # the top point 2 is alone in its cell
-    assert settled(candidates(masks, masks)) == 0b100
+    assert refine_colors(masks, masks)[1] == 0b100
     assert isomorphisms(masks, masks, pins=[(2, 0)]) == []
     assert isomorphisms(masks, masks, pins=[(2, 2)]) == [(0, 1, 2), (1, 0, 2)]
     assert isomorphisms(masks, masks, pins=[(2, 2), (0, 1)]) == [(1, 0, 2)]
@@ -359,11 +359,16 @@ def _reference_cells(masks_a, masks_b, colors_a=None, colors_b=None):
     return sorted((tuple(a), tuple(b)) for a, b in cells.values())
 
 
-def _cells(cells):
-    """The kernel's cells in the form of ``_reference_cells``."""
-    if cells is None:
+def _cells(refined):
+    """The kernel's cells in the form of ``_reference_cells``, read off
+    the candidate masks: the points of a with one candidate mask, and
+    that mask."""
+    if refined is None:
         return None
-    return sorted((tuple(_bits(a)), tuple(_bits(b))) for a, b in cells)
+    cells = {}
+    for i, c in enumerate(refined[0]):
+        cells.setdefault(c, []).append(i)
+    return sorted((tuple(a), tuple(_bits(b))) for b, a in cells.items())
 
 
 def _preorders():
@@ -409,13 +414,29 @@ def test_refinement_cells_match_reference_on_random_two_sided_pairs(n, seed, kin
         assert want is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32), st.booleans())
+def test_settled_points_are_the_singleton_cells_of_the_reference(n, seed, relabel):
+    rng = random.Random(seed)
+    masks_a = _random_masks(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    masks_b = relabelled(masks_a, perm) if relabel else _random_masks(rng, n)
+    want = _reference_cells(masks_a, masks_b)
+    refined = refine_colors(masks_a, masks_b)
+    if want is None:
+        assert refined is None
+        return
+    assert refined[1] == sum(1 << a[0] for a, _ in want if len(a) == 1)
+
+
 def test_refinement_stops_at_the_discrete_partition_on_a_long_chain():
     # every point of a chain is alone in its cell after the first split;
     # the singleton stop leaves the other 1,099 queued cells untaken
     masks = chain_space(1100)._masks
-    cand = candidates(masks, masks)
+    cand, settled = refine_colors(masks, masks)
     assert cand == [1 << i for i in range(1100)]
-    assert settled(cand) == (1 << 1100) - 1
+    assert settled == (1 << 1100) - 1
 
 
 def _invariant_colors(space):
@@ -451,7 +472,7 @@ def test_uniform_start_gives_the_cells_of_the_invariant_seeded_reference():
         want = _reference_cells(masks, masks, colors, colors)
         assert _cells(refine_colors(masks, masks)) == want, space
         cell_of = {i: sum(1 << j for j in a) for a, _ in want for i in a}
-        assert candidates(masks, masks) == [cell_of[i] for i in range(len(masks))], space
+        assert refine_colors(masks, masks)[0] == [cell_of[i] for i in range(len(masks))], space
 
 
 def test_refinement_cells_match_reference_on_relabelled_and_refuted_pairs():
