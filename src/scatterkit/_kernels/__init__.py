@@ -69,8 +69,6 @@ def refine_colors(masks_a, masks_b):
     n = len(masks_a)
     if len(masks_b) != n:
         return None
-    if not n:
-        return [], 0
     same = masks_a is masks_b
     member = pure.transpose(masks_a)
     lower = (1 << n) - 1

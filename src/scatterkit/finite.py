@@ -130,21 +130,14 @@ class FiniteSpace:
         return space
 
     def _adopt(self, points, index, masks):
-        """Check transitivity and take the masks: for each x, the members
-        of U_x other than x are walked in point order, and the first whose
-        set is not inside U_x is reported."""
-        for x, mask in enumerate(masks):
-            outside = ~mask
-            below = mask & ~(1 << x)
-            while below:
-                low = below & -below
-                y = low.bit_length() - 1
-                if masks[y] & outside:
-                    raise ValidationError(
-                        f"transitivity violated: {points[y]!r} lies in the minimal open set of "
-                        f"{points[x]!r} but U_{points[y]} is not contained in U_{points[x]}"
-                    )
-                below ^= low
+        """Check transitivity (``_intransitive``) and take the masks."""
+        bad = _intransitive(masks)
+        if bad is not None:
+            x, y = points[bad[0]], points[bad[1]]
+            raise ValidationError(
+                f"transitivity violated: {y!r} lies in the minimal open set of "
+                f"{x!r} but U_{y} is not contained in U_{x}"
+            )
         self.points = points
         self._index = index
         self._masks = tuple(masks)
@@ -246,6 +239,22 @@ def _point_index(points):
     if len(index) != len(points):
         raise ValidationError("duplicate point names")
     return index
+
+
+def _intransitive(masks):
+    """The first (x, y) with y in U_x but U_y not inside U_x, or None when
+    the masks are transitive: for each x in point order, the members of
+    U_x other than x are walked in point order."""
+    for x, mask in enumerate(masks):
+        outside = ~mask
+        below = mask & ~(1 << x)
+        while below:
+            low = below & -below
+            y = low.bit_length() - 1
+            if masks[y] & outside:
+                return x, y
+            below ^= low
+    return None
 
 
 def _reflexivity_error(name):
@@ -652,41 +661,36 @@ class SwapResult:
     piece_y: tuple[str, ...] = ()
 
 
-def _components(n, masks, inside_mask):
-    """Connected components of the comparability graph on the given subset."""
-    adj = [0] * n
-    for i in _bits(inside_mask):
-        m = masks[i] & inside_mask
-        adj[i] |= m
-        for j in _bits(m):
-            adj[j] |= 1 << i
-    comp_of = {}
-    for start in _bits(inside_mask):
-        if start in comp_of:
-            continue
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in _bits(adj[v] & ~comp):
-                comp |= 1 << w
-                frontier.append(w)
-        for v in _bits(comp):
-            comp_of[v] = comp
-    return comp_of
+def _component(masks, member, start):
+    """The connected component of ``start`` in the comparability graph of
+    ``masks``, whose transpose is ``member``, as a bitmask."""
+    comp = frontier = 1 << start
+    while frontier:
+        near = 0
+        for v in _bits(frontier):
+            near |= masks[v] | member[v]
+        frontier = near & ~comp
+        comp |= frontier
+    return comp
 
 
 def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
     """The three-case swap: h on a clopen piece around x, its inverse on a
     disjoint clopen piece around y, identity elsewhere.
 
-    The pieces are clopen in the subspace obtained by deleting the fixed
-    set, which can hide minimal opens that straddle a piece.  So after a
-    piece-local search finds the pieces isomorphic with x -> y, one pinned
-    search on the whole space asks for a homeomorphism p fixing every
-    point outside the pieces, exchanging them and sending x to y.  The
-    swap glued from p on x's piece and its inverse is then one too, and
-    every homeomorphic swap is such a p.
+    The pieces are the components around x and y of ``sub``, the masks
+    with the fixed set's rows and bits cleared.  One refinement of ``sub``
+    gives every point its candidate images, narrowed so that each piece
+    maps onto the other, x to y and every other point to itself.  Every
+    swap fixes the fixed set pointwise, so it is an automorphism of
+    ``sub`` and lies within the candidates.  Searched on the whole space,
+    they give a homeomorphism p, and the swap glued from p on x's piece
+    and its inverse is then one too; every homeomorphic swap is such a p.
+    When there is none, a search on ``sub`` tells whether the pieces are
+    isomorphic with x -> y at all, which deleting the fixed set can allow
+    while minimal opens that straddle a piece forbid every swap.  Only
+    the search on ``sub`` is given its settled points: a point alone in
+    its cell of ``sub`` is not checked against the fixed set.
     """
     ix, iy = space.index(x), space.index(y)
     fixed = tuple(fixed)
@@ -698,52 +702,44 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
     n = space.size
     if ix == iy:
         return SwapResult(True, {p: p for p in space.points}, None, (x,), (y,))
-    sub_mask = 0
-    for i in range(n):
-        if i not in fixed_idx:
-            sub_mask |= 1 << i
-    sub_masks = [space._masks[i] & sub_mask for i in range(n)]
-    comp_of = _components(n, sub_masks, sub_mask)
-    if comp_of[ix] == comp_of[iy]:
+    rest = ((1 << n) - 1) & ~sum(1 << i for i in fixed_idx)
+    sub = [m & rest if rest >> i & 1 else 0 for i, m in enumerate(space._masks)]
+    member = pure.transpose(sub)
+    comp_x = _component(sub, member, ix)
+    if comp_x >> iy & 1:
         return SwapResult(
             False,
             None,
             "x and y lie in the same connected component of the space minus the "
             "fixed set, so no disjoint clopen pieces around them exist",
         )
-    comp_x = tuple(_bits(comp_of[ix]))
-    comp_y = tuple(_bits(comp_of[iy]))
-    piece_x = tuple(space.points[i] for i in comp_x)
-    piece_y = tuple(space.points[i] for i in comp_y)
-    if len(comp_x) != len(comp_y):
+    comp_y = _component(sub, member, iy)
+    piece_x = tuple(space.points[i] for i in _bits(comp_x))
+    piece_y = tuple(space.points[i] for i in _bits(comp_y))
+    if len(piece_x) != len(piece_y):
         return SwapResult(
             False, None,
             "the clopen pieces around x and y have different sizes",
             piece_x, piece_y,
         )
-    sub_a = _submasks(space, comp_x)
-    sub_b = _submasks(space, comp_y)
-    if not isomorphisms(sub_a, sub_b, pins=[(comp_x.index(ix), comp_y.index(iy))], limit=1):
-        return SwapResult(
-            False, None,
-            "the clopen pieces around x and y admit no isomorphism carrying x to y",
-            piece_x, piece_y,
-        )
-    cand = [1 << i for i in range(n)]
-    for i in comp_x:
-        cand[i] = comp_of[iy]
-    for i in comp_y:
-        cand[i] = comp_of[ix]
-    cand[ix] = 1 << iy
+    cand, settled = refine_colors(sub, sub)
+    for i in range(n):
+        if comp_x >> i & 1:
+            cand[i] &= comp_y
+        elif comp_y >> i & 1:
+            cand[i] &= comp_x
+        else:
+            cand[i] = 1 << i
+    cand[ix] &= 1 << iy
     found = pure.search(space._masks, space._masks, cand, 1)
     if not found:
-        return SwapResult(
-            False, None,
-            "every candidate swap breaks a minimal open set that meets the fixed set",
-            piece_x, piece_y,
-        )
+        if not pure.search(sub, sub, cand, 1, settled):
+            reason = "the clopen pieces around x and y admit no isomorphism carrying x to y"
+        else:
+            reason = "every candidate swap breaks a minimal open set that meets the fixed set"
+        return SwapResult(False, None, reason, piece_x, piece_y)
     p, perm = found[0], list(range(n))
-    for i in comp_x:
+    for i in _bits(comp_x):
         perm[i], perm[p[i]] = p[i], i
     if not _is_homeo(space, perm):
         raise InternalCheckError(f"the swap of {x!r} and {y!r} glued from a homeomorphism is not one")
@@ -1111,15 +1107,7 @@ def enumerate_preorder_spaces(n: int):
             masks_i.append(m)
         choices.append(masks_i)
     for masks in itertools.product(*choices):
-        ok = True
-        for i in range(n):
-            for j in _bits(masks[i]):
-                if masks[j] & ~masks[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _intransitive(masks) is None:
             yield FiniteSpace.from_masks(names, masks)
 
 

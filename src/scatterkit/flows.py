@@ -47,7 +47,7 @@ def lo_space(n: int, max_n: int = DEFAULT_MAX_ENUMERATION) -> list[tuple[int, ..
         raise DomainError(f"the number of elements must be non-negative, got {n}")
     if n > max_n:
         raise BoundExceededError(f"LO enumeration is limited to {max_n} elements")
-    return [perm for perm in itertools.permutations(range(1, n + 1))]
+    return list(itertools.permutations(range(1, n + 1)))
 
 
 def act(g, order):
@@ -85,9 +85,9 @@ def check_simply_transitive(n: int, max_n: int = DEFAULT_MAX_ENUMERATION) -> boo
     Decided by the orbit map of the first order over all n! permutations
     (see the module docstring): n! distinct images, each a linear order.
     """
+    # each order on {1..n} is also the permutation i -> order[i-1]
     orders = lo_space(n, max_n=max_n)
-    perms = list(itertools.permutations(range(1, n + 1)))
-    return _acts_simply_transitively(perms, orders, act)
+    return _acts_simply_transitively(orders, orders, act)
 
 
 @dataclass(frozen=True)

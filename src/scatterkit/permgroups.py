@@ -123,9 +123,9 @@ class PermutationGroup:
         )
 
     def __hash__(self):
-        # The basic orbits hold only ints and, on the fixed base, depend only
-        # on the group, so the hash does too and is the same in every run.
-        return hash(tuple((b, frozenset(orbit)) for b, orbit in self._chain))
+        # The lex-first generators (cached) hold only ints and depend only on
+        # the group, so the hash does too and is the same in every run.
+        return hash(self.generators)
 
     def as_mapping(self, perm) -> dict[str, str]:
         return {self.ground[i]: self.ground[j] for i, j in enumerate(perm)}

@@ -770,6 +770,30 @@ def test_swap_precondition_errors():
         swap_homeo(CHAIN3, "a", "b", ["a"])
 
 
+def _components(n, masks, inside_mask):
+    """Connected components of the comparability graph on the given subset."""
+    adj = [0] * n
+    for i in _bits(inside_mask):
+        m = masks[i] & inside_mask
+        adj[i] |= m
+        for j in _bits(m):
+            adj[j] |= 1 << i
+    comp_of = {}
+    for start in _bits(inside_mask):
+        if start in comp_of:
+            continue
+        comp = 1 << start
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in _bits(adj[v] & ~comp):
+                comp |= 1 << w
+                frontier.append(w)
+        for v in _bits(comp):
+            comp_of[v] = comp
+    return comp_of
+
+
 def _swap_reference(space, x, y, fixed):
     """The swap by enumeration: every isomorphism of the two pieces that
     carries x to y is glued with its inverse, and the first glued
@@ -777,7 +801,7 @@ def _swap_reference(space, x, y, fixed):
     n = space.size
     ix, iy = space.index(x), space.index(y)
     rest = sum(1 << i for i in range(n)) & ~sum(1 << space.index(f) for f in fixed)
-    comp_of = finite._components(n, [m & rest for m in space._masks], rest)
+    comp_of = _components(n, [m & rest for m in space._masks], rest)
     if comp_of[ix] == comp_of[iy]:
         return SwapResult(
             False,
@@ -833,6 +857,45 @@ def test_swap_of_fan_centres_makes_one_search():
     assert result.ok
     assert result.permutation["c0"] == "c1" and result.permutation["c1"] == "c0"
     assert sorted(result.permutation.values()) == sorted(space.points)
+
+
+def _two_centre_piece(tag, left, right):
+    """A top over two centres, with ``left`` and ``right`` leaves under them."""
+    leaves = [[f"{tag}{side}_{i}" for i in range(width)] for side, width in ((0, left), (1, right))]
+    opens = {leaf: {leaf} for side in leaves for leaf in side}
+    for side, members in enumerate(leaves):
+        opens[f"{tag}c{side}"] = {f"{tag}c{side}", *members}
+    opens[f"{tag}top"] = {f"{tag}top"}.union(*opens.values())
+    return opens
+
+
+def test_swap_refutes_non_isomorphic_pieces_by_refinement():
+    # 32 points each, leaves split 15 + 14 against 16 + 13; a search that
+    # only pins x -> y meets the counting argument one leaf at a time
+    table = {**_two_centre_piece("a", 15, 14), **_two_centre_piece("b", 16, 13)}
+    space = FiniteSpace(sorted(table), table)
+    start = time.perf_counter()
+    result = swap_homeo(space, "a0_0", "b0_0")
+    assert time.perf_counter() - start < 0.1
+    assert not result.ok and len(result.piece_x) == len(result.piece_y) == 32
+    assert result.reason == "the clopen pieces around x and y admit no isomorphism carrying x to y"
+
+
+def test_swap_answers_without_the_two_sided_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("swap_homeo called isomorphisms")
+
+    # x and y have singleton minimal opens, so the similarity check needs no search either
+    monkeypatch.setattr(finite, "isomorphisms", refuse)
+    result = swap_homeo(fan_forest((5, 5)), "l0_0", "l1_3")
+    assert result.ok
+    assert result.permutation["l0_0"] == "l1_3" and result.permutation["c0"] == "c1"
+    table = {**_two_centre_piece("a", 15, 14), **_two_centre_piece("b", 16, 13)}
+    result = swap_homeo(FiniteSpace(sorted(table), table), "a0_0", "b0_0")
+    assert result.reason == "the clopen pieces around x and y admit no isomorphism carrying x to y"
+    straddled = FiniteSpace(("u", "v", "c"), {"u": {"u"}, "v": {"v"}, "c": {"c", "u"}})
+    result = swap_homeo(straddled, "u", "v", ["c"])
+    assert result.reason == "every candidate swap breaks a minimal open set that meets the fixed set"
 
 
 # --- normal subgroups ----------------------------------------------------------------
@@ -1100,6 +1163,40 @@ def test_remark19_candidates_match_element_filter_reference():
 
 
 # --- enumeration -------------------------------------------------------------------------
+
+def _enumerate_preorder_reference(n):
+    """The enumerator's mask tuples, each kept by an inline transitivity
+    check over every member of every minimal open set."""
+    choices = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        masks_i = []
+        for extra in range(1 << (n - 1)):
+            m = 1 << i
+            for b, j in enumerate(others):
+                if (extra >> b) & 1:
+                    m |= 1 << j
+            masks_i.append(m)
+        choices.append(masks_i)
+    for masks in itertools.product(*choices):
+        ok = True
+        for i in range(n):
+            for j in _bits(masks[i]):
+                if masks[j] & ~masks[i]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            yield masks
+
+
+def test_preorder_enumeration_matches_the_inline_check_reference():
+    for n in range(5):
+        got = [space._masks for space in enumerate_preorder_spaces(n)]
+        assert got == list(_enumerate_preorder_reference(n))
+    assert sum(1 for _ in enumerate_preorder_spaces(5)) == 6942
+
 
 def test_preorder_counts():
     assert [sum(1 for _ in enumerate_preorder_spaces(n)) for n in range(5)] == [1, 1, 4, 29, 355]

@@ -220,6 +220,8 @@ def test_groups_of_one_order_sharing_elements_are_unequal():
     assert klein.order == cyclic.order == 4
     assert (2, 3, 0, 1) in klein and (2, 3, 0, 1) in cyclic
     assert klein != cyclic and cyclic != klein
+    # they share their basic orbits, but not their lex-first generators
+    assert hash(klein) != hash(cyclic)
     assert klein != PermutationGroup.from_generators("abcd", [(1, 0, 3, 2), (2, 3, 0, 1)])
     rng = random.Random(22)
     perms = list(itertools.permutations(range(4)))
@@ -587,8 +589,8 @@ print(counts["sift"], counts["eq"])
 
 def test_remark19_work_counts_do_not_depend_on_the_hash_seed():
     """Nothing on the Remark 19 path iterates point names in hash order,
-    and groups hash from their basic orbits, which hold only ints, so the
-    sifts and group comparisons are the same in every interpreter."""
+    and groups hash from their lex-first generators, which hold only ints,
+    so the sifts and group comparisons are the same in every interpreter."""
     counts = []
     for seed in ("0", "2"):
         proc = subprocess.run(
