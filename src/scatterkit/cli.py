@@ -9,10 +9,11 @@ output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .classify import (
     SpaceClass,
@@ -25,9 +26,12 @@ from .classify import (
 from .errors import ParseError, ScatterkitError
 from .ordinal import parse
 
+if TYPE_CHECKING:
+    import argparse
+
 ENV_MAX_POINTS = "SCATTERKIT_MAX_POINTS"
 #: ``verify --help``'s suite list and ``--seed`` default, kept here so that
-#: building the parser does not load ``verify``; the tests tie both to
+#: the command table does not load ``verify``; the tests tie both to
 #: ``verify.suite_names()`` and ``verify.DEFAULT_SEED``.
 SUITE_NAMES = (
     "ordinal-laws",
@@ -41,6 +45,8 @@ SUITE_NAMES = (
     "all",
 )
 DEFAULT_SEED = 0
+#: ``--format`` values; the first is the default.
+FORMATS = ("text", "structured")
 
 
 class _Emitter:
@@ -293,13 +299,51 @@ def cmd_verify(args, out: _Emitter) -> int:
     return 0 if failed == 0 else 1
 
 
+_MAX_POINTS = {"--max-points": (int, None, False, None)}
+
+#: The command table, the one description of the command line: each
+#: subcommand's handler, help text, positionals and options.  An option
+#: maps its name to (kind, default, required, help), the kind being bool
+#: for a flag, else the type of its value.  ``main`` reads well-formed argv
+#: off it; ``build_parser`` builds argparse from it for everything else.
+COMMANDS = {
+    "classify": (cmd_classify, "homeomorphism class of an ordinal space", ("ordinal",), {}),
+    "homeomorphic": (cmd_homeomorphic, "are two ordinal spaces homeomorphic", ("first", "second"), {}),
+    "rank": (cmd_rank, "Cantor-Bendixson rank of a point", ("point",), {"--space": (str, None, True, None)}),
+    "derive": (cmd_derive, "order type of an iterated derived subspace", ("ordinal",),
+               {"--level": (str, None, True, None)}),
+    "profile": (cmd_profile, "rank level sizes of an ordinal space", ("ordinal",), {}),
+    "group": (cmd_group, "homeomorphism group descriptor, invariants and flow", ("ordinal",), {}),
+    "groups-iso": (cmd_groups_iso, "isomorphism oracle for two ordinal spaces' groups",
+                   ("first", "second"), {}),
+    "fspace": (cmd_fspace, "analyse a finite space file", ("file",), {
+        "--group": (bool, False, False, "compute the homeomorphism group"),
+        "--normal": (bool, False, False, "list its normal subgroups"),
+        "--full-transitivity": (bool, False, False, "run both transitivity checks"),
+        **_MAX_POINTS,
+    }),
+    "encode-graph": (cmd_encode_graph, "encode a graph file as a finite space", ("file",),
+                     {"--verify": (bool, False, False, "check the encoding theorems"), **_MAX_POINTS}),
+    "flows": (cmd_flows, "linear-order flows for {1..n} or a space file", (),
+              {"--n": (int, None, False, None), "--fspace": (str, None, False, None), **_MAX_POINTS}),
+    "verify": (cmd_verify, "run a verification suite", (), {
+        "--suite": (str, None, True, f"one of: {', '.join(SUITE_NAMES)}"),
+        "--seed": (int, DEFAULT_SEED, False, None),
+        **_MAX_POINTS,
+    }),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by later calls.
+    """The argparse parser of the command table, built on first use and
+    shared by later calls.
 
     ``parse_args`` keeps no state in the parser (each call fills a new
     namespace), so one instance serves every ``main`` call in a process.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="scatterkit",
         description="Scattered spaces: ordinal classification, Cantor-Bendixson data, "
@@ -307,75 +351,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "structured"),
-        default="text",
+        choices=FORMATS,
+        default=FORMATS[0],
         help="output style: human text or key=value lines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="homeomorphism class of an ordinal space")
-    p.add_argument("ordinal")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("homeomorphic", help="are two ordinal spaces homeomorphic")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_homeomorphic)
-
-    p = sub.add_parser("rank", help="Cantor-Bendixson rank of a point")
-    p.add_argument("point")
-    p.add_argument("--space", required=True)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("derive", help="order type of an iterated derived subspace")
-    p.add_argument("ordinal")
-    p.add_argument("--level", required=True)
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("profile", help="rank level sizes of an ordinal space")
-    p.add_argument("ordinal")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("group", help="homeomorphism group descriptor, invariants and flow")
-    p.add_argument("ordinal")
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("groups-iso", help="isomorphism oracle for two ordinal spaces' groups")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_groups_iso)
-
-    p = sub.add_parser("fspace", help="analyse a finite space file")
-    p.add_argument("file")
-    p.add_argument("--group", action="store_true", help="compute the homeomorphism group")
-    p.add_argument("--normal", action="store_true", help="list its normal subgroups")
-    p.add_argument("--full-transitivity", action="store_true", help="run both transitivity checks")
-    p.add_argument("--max-points", type=int, default=None)
-    p.set_defaults(func=cmd_fspace)
-
-    p = sub.add_parser("encode-graph", help="encode a graph file as a finite space")
-    p.add_argument("file")
-    p.add_argument("--verify", action="store_true", help="check the encoding theorems")
-    p.add_argument("--max-points", type=int, default=None)
-    p.set_defaults(func=cmd_encode_graph)
-
-    p = sub.add_parser("flows", help="linear-order flows for {1..n} or a space file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fspace", default=None)
-    p.add_argument("--max-points", type=int, default=None)
-    p.set_defaults(func=cmd_flows)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-points", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
+    for command, (func, summary, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in positionals:
+            p.add_argument(name)
+        for flag, (kind, default, required, text) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=kind, default=default, required=required, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives a well-formed argv, read
+    off the command table in one pass; None for anything else (help, an
+    abbreviation, ``--opt=value``, ``--``, a token or value that starts with
+    '-', a missing or extra positional, a missing required option or a value
+    ``int()`` refuses), which argparse then handles."""
+    fmt = FORMATS[0]
+    if argv[:1] == ["--format"]:
+        fmt = argv[1] if len(argv) > 1 else None
+        if fmt not in FORMATS:
+            return None
+        argv = argv[2:]
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, names, options = COMMANDS[argv[0]]
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in options:
+            return None
+        kind = options[token][0]
+        if kind is bool:
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value defers, as a leading '-' does
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[token] = value
+    if len(positionals) != len(names):
+        return None
+    args = dict(zip(names, positionals), format=fmt, command=argv[0], func=func)
+    for flag, (_, default, required, _) in options.items():
+        if required and flag not in given:
+            return None
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     out = _Emitter(structured=args.format == "structured")
     try:
         code = args.func(args, out)

@@ -16,6 +16,7 @@ an open question.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial
@@ -146,16 +147,44 @@ class GroupInvariants:
     note: str | None = None
 
 
+def _quotient_k(d: GroupDescriptor) -> int:
+    """The k of the largest finite quotient k!: the descriptor's k, or k - 1
+    for family H."""
+    return d.k - 1 if d.family is GroupFamily.H else d.k
+
+
+def _same_factorial(k: int, m: int) -> bool:
+    """Whether k! = m!, without computing either: 0! = 1! and the factorial
+    is strictly increasing from 1 on."""
+    return k == m or (k <= 1 and m <= 1)
+
+
+def _printable_factorial(k: int) -> int:
+    """k!, or DomainError when it has more digits than Python converts to
+    text (``sys.get_int_max_str_digits()``, 4300 by default).
+
+    k! > 10^k for k >= 25 and the limit is 0 (off) or at least 640, so a k
+    past the limit is refused before k! is computed.
+    """
+    limit = sys.get_int_max_str_digits()
+    value = factorial(k) if k <= limit or not limit else None
+    # a value of at most 3 bits a digit is below 8^limit, so below 10^limit
+    if value is None or value.bit_length() > 3 * limit > 0 and value >= 10**limit:
+        raise DomainError(f"cannot print a factorial of more than {limit} digits")
+    return value
+
+
 def invariants(d: GroupDescriptor) -> GroupInvariants:
+    """The descriptor's invariants; DomainError when its largest finite
+    quotient has too many digits to print."""
+    quotient = _printable_factorial(_quotient_k(d))
     if d.family is GroupFamily.SYM_FINITE:
         return GroupInvariants(
-            factorial(d.k),
+            quotient,
             ZERO,
             note="finite group of order k!; the group is its own largest finite quotient",
         )
-    if d.family is GroupFamily.H:
-        return GroupInvariants(factorial(d.k - 1), d.alpha)
-    return GroupInvariants(factorial(d.k), d.alpha)
+    return GroupInvariants(quotient, d.alpha)
 
 
 @dataclass(frozen=True)
@@ -183,7 +212,7 @@ def groups_isomorphic(d1: GroupDescriptor, d2: GroupDescriptor) -> IsoAnswer:
             "group cardinality: one group is finite, the other is infinite",
         )
     if d1.is_finite_group and d2.is_finite_group:
-        if factorial(d1.k) == factorial(d2.k):
+        if _same_factorial(d1.k, d2.k):
             return IsoAnswer(
                 Decision.YES,
                 "group cardinality: Sym(0) and Sym(1) are both the trivial group",
@@ -196,8 +225,9 @@ def groups_isomorphic(d1: GroupDescriptor, d2: GroupDescriptor) -> IsoAnswer:
     if d1.family is GroupFamily.G and d2.family is GroupFamily.G:
         return IsoAnswer(Decision.NO, CITE_THM29)
 
-    inv1, inv2 = invariants(d1), invariants(d2)
-    if (inv1.max_finite_quotient, inv1.epsilon) != (inv2.max_finite_quotient, inv2.epsilon):
+    # both groups are infinite here, so epsilon is alpha
+    if not _same_factorial(_quotient_k(d1), _quotient_k(d2)) or d1.alpha != d2.alpha:
+        inv1, inv2 = invariants(d1), invariants(d2)
         return IsoAnswer(
             Decision.NO,
             "invariant mismatch: (max finite quotient, epsilon) = "

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import io
 import itertools
 import os
@@ -7,9 +9,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scatterkit import graphs
-from scatterkit.cli import build_parser, main
+from scatterkit import cli, graphs
+from scatterkit.cli import COMMANDS, build_parser, main
 from scatterkit.verify import chain_space, discrete_space
 
 
@@ -324,6 +328,9 @@ def test_shared_parser_keeps_no_state(tmp_path):
     calls = [
         ("--format", "structured", "flows", "--n", "4"),
         ("fspace", str(path), "--group"),
+        # spellings the table reader defers, so argparse parses them
+        ("--format=structured", "flows", "--n=4"),
+        ("fspace", str(path), "--gr"),
     ]
     for argv in calls:
         build_parser.cache_clear()
@@ -426,3 +433,248 @@ def test_usage_error_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@functools.cache
+def _reference_parser():
+    """The parser as it was written out by hand before the command table."""
+    parser = argparse.ArgumentParser(
+        prog="scatterkit",
+        description="Scattered spaces: ordinal classification, Cantor-Bendixson data, "
+        "homeomorphism groups and their flows.",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "structured"),
+        default="text",
+        help="output style: human text or key=value lines",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="homeomorphism class of an ordinal space")
+    p.add_argument("ordinal")
+    p.set_defaults(func=cli.cmd_classify)
+
+    p = sub.add_parser("homeomorphic", help="are two ordinal spaces homeomorphic")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.set_defaults(func=cli.cmd_homeomorphic)
+
+    p = sub.add_parser("rank", help="Cantor-Bendixson rank of a point")
+    p.add_argument("point")
+    p.add_argument("--space", required=True)
+    p.set_defaults(func=cli.cmd_rank)
+
+    p = sub.add_parser("derive", help="order type of an iterated derived subspace")
+    p.add_argument("ordinal")
+    p.add_argument("--level", required=True)
+    p.set_defaults(func=cli.cmd_derive)
+
+    p = sub.add_parser("profile", help="rank level sizes of an ordinal space")
+    p.add_argument("ordinal")
+    p.set_defaults(func=cli.cmd_profile)
+
+    p = sub.add_parser("group", help="homeomorphism group descriptor, invariants and flow")
+    p.add_argument("ordinal")
+    p.set_defaults(func=cli.cmd_group)
+
+    p = sub.add_parser("groups-iso", help="isomorphism oracle for two ordinal spaces' groups")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.set_defaults(func=cli.cmd_groups_iso)
+
+    p = sub.add_parser("fspace", help="analyse a finite space file")
+    p.add_argument("file")
+    p.add_argument("--group", action="store_true", help="compute the homeomorphism group")
+    p.add_argument("--normal", action="store_true", help="list its normal subgroups")
+    p.add_argument("--full-transitivity", action="store_true", help="run both transitivity checks")
+    p.add_argument("--max-points", type=int, default=None)
+    p.set_defaults(func=cli.cmd_fspace)
+
+    p = sub.add_parser("encode-graph", help="encode a graph file as a finite space")
+    p.add_argument("file")
+    p.add_argument("--verify", action="store_true", help="check the encoding theorems")
+    p.add_argument("--max-points", type=int, default=None)
+    p.set_defaults(func=cli.cmd_encode_graph)
+
+    p = sub.add_parser("flows", help="linear-order flows for {1..n} or a space file")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--fspace", default=None)
+    p.add_argument("--max-points", type=int, default=None)
+    p.set_defaults(func=cli.cmd_flows)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("--suite", required=True, help=f"one of: {', '.join(cli.SUITE_NAMES)}")
+    p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+    p.add_argument("--max-points", type=int, default=None)
+    p.set_defaults(func=cli.cmd_verify)
+
+    return parser
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_help_matches_the_reference_parser():
+    assert build_parser().format_help() == _reference_parser().format_help()
+    table, reference = _subparsers(build_parser()), _subparsers(_reference_parser())
+    assert list(table) == list(reference) == list(COMMANDS)
+    for command in COMMANDS:
+        assert table[command].format_help() == reference[command].format_help(), command
+        assert table[command].format_usage() == reference[command].format_usage(), command
+
+
+def _reference_vars(argv):
+    try:
+        with redirect_stderr(io.StringIO()):
+            return vars(_reference_parser().parse_args(argv))
+    except SystemExit as exc:
+        raise AssertionError(f"the reader accepted {argv}, which argparse rejects") from exc
+
+
+_OPTIONS = sorted({flag for *_, options in COMMANDS.values() for flag in options})
+#: Spellings argparse accepts and the reader defers, and plain mistakes.
+_OTHER_TOKENS = [
+    "-h", "--help", "--", "-", "--max", "--full", "--gr", "--no", "--ver", "--su", "--se",
+    "--lev", "--sp", "--fs", "--max-points=3", "--n=4", "--format", "--format=structured",
+    "-n", "--nope",
+]
+#: Only the fast suites, so that the tests that run the commands stay
+#: within seconds.
+_SUITES = ["classifier", "cb-rank", "nonsense"]
+_VALUES = [
+    "0", "3", "8", "-3", "+4", " 5", "1_0", "x", "", "w^2 + 1", "99999999999999999999",
+    "-99999999999999999999", "text", "structured", *_SUITES,
+]
+_PREFIXES = [[], ["--format", "text"], ["--format", "structured"], ["--format"], ["--format", "json"],
+             ["--format=text"], ["-h"]]
+
+
+def _argv(values):
+    """argv from the CLI's own vocabulary: a format prefix, a command or a
+    mistake, then in any order the command's positionals and some of its
+    options with values; half of them also take a wrong positional count,
+    a few tokens of any kind and any prefix."""
+
+    def option(flag, kind):
+        return st.just([flag]) if kind is bool else st.sampled_from(values).map(lambda v: [flag, v])
+
+    def body(command, clean):
+        _, _, names, options = COMMANDS.get(command, (None, None, ("x",), {}))
+        slack = 0 if clean else 1
+        pieces = [
+            st.lists(st.sampled_from(values).map(lambda v: [v]),
+                     min_size=max(len(names) - slack, 0), max_size=len(names) + slack),
+            *(st.lists(option(flag, kind), max_size=1) for flag, (kind, *_) in options.items()),
+            st.lists(st.sampled_from(_OTHER_TOKENS + _OPTIONS + values).map(lambda t: [t]),
+                     max_size=2 * slack),
+        ]
+        return st.tuples(*pieces).flatmap(
+            lambda groups: st.permutations([piece for group in groups for piece in group])
+        ).map(lambda shuffled: [token for piece in shuffled for token in piece])
+
+    def argv(clean):
+        prefixes = _PREFIXES[:3] if clean else _PREFIXES
+        return st.tuples(st.sampled_from(prefixes), st.sampled_from([*COMMANDS, "nosuch"])).flatmap(
+            lambda pc: body(pc[1], clean).map(lambda tokens: [*pc[0], pc[1], *tokens])
+        )
+
+    return st.booleans().flatmap(argv)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argv(_VALUES))
+def test_every_argv_the_reader_accepts_parses_the_same_under_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == _reference_vars(argv)
+
+
+def _canonical_argvs():
+    """For each command, with each --format prefix: its positionals and
+    required options only, then every option given, values of the right
+    kind."""
+    for command, (_, _, positionals, options) in COMMANDS.items():
+        sample = {str: "w + 1", int: "7"}
+        required = [t for flag, (kind, _, req, _) in options.items() if req
+                    for t in (flag, sample[kind])]
+        every = [t for flag, (kind, *_) in options.items()
+                 for t in ((flag,) if kind is bool else (flag, sample[kind]))]
+        for prefix in ([], ["--format", "text"], ["--format", "structured"]):
+            yield [*prefix, command, *(["x"] * len(positionals)), *required]
+            yield [*prefix, command, *every, *(["x"] * len(positionals))]
+
+
+def test_every_canonical_argv_is_read_off_the_table():
+    for argv in _canonical_argvs():
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == _reference_vars(argv)
+
+
+def test_main_defers_to_argparse_only_when_the_reader_does(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or _reference_parser())
+    with redirect_stdout(io.StringIO()):
+        assert main(["--format", "structured", "classify", "w"]) == 0
+        assert built == []
+        assert main(["classify", "--", "w"]) == 0
+    assert built == [1]
+
+
+# ---------------------------------------------------------------------------
+# no traceback from any argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "space.txt": "a: a\nb: b\nc: a b c\n".encode(),
+        "bad-space.txt": b"a: a b\nb: b c\nc: c\n",
+        "graph.txt": b"1 2\n2 3\n",
+        "not-utf8.txt": b"a: a\n\xff\xfe: b\n",
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    (root / "a-directory").mkdir()
+    return [str(root / name) for name in [*files, "a-directory", "missing.txt"]]
+
+
+#: Ordinal texts: k! past 4300 digits (group, groups-iso), huge and
+#: negative numbers, and text that does not parse.
+_ORDINALS = [
+    "w", "w^2*3 + w*2 + 5", "1558", "1559", "w*1700", "w^2*99999999999999999999 + w",
+    "99999999999999999999", "w*20000000000000000000", "w*20000000000000000001", "w^w",
+    "-1", "w^^",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_no_argv_ends_in_a_traceback(cli_files, data):
+    argv = data.draw(_argv(_VALUES + _ORDINALS + cli_files))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+
+
+def test_group_prints_k_factorial_up_to_4300_digits(capsys):
+    code, out = run_cli("--format", "structured", "group", "1558")
+    assert code == 0
+    assert len(re.search(r"^max_finite_quotient=(\d+)$", out, re.M).group(1)) == 4300
+    for ordinal in ("1559", "w*1700", "99999999999999999999"):
+        assert run_cli("group", ordinal) == (1, "")
+        assert capsys.readouterr().err == "error: cannot print a factorial of more than 4300 digits\n"
+
+
+def test_groups_iso_of_huge_finite_spaces_answers_at_once():
+    code, out = run_cli("--format", "structured", "groups-iso", "1000000", "1000001")
+    assert code == 0
+    assert "justification=group cardinality: 1000000! differs from 1000001!" in out.splitlines()
+    assert run_cli("groups-iso", "99999999999999999999", "1700")[0] == 0

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from math import factorial
 
 import pytest
 
@@ -6,7 +8,14 @@ from scatterkit.classify import ALEPH0
 from scatterkit.errors import DomainError, UnrepresentableProfileError
 from scatterkit.finite import FiniteSpace
 from scatterkit.groups import (
+    CITE_H1G1,
+    CITE_Q31,
+    CITE_Q32,
+    CITE_Q33,
+    CITE_THM29,
     Decision,
+    GroupFamily,
+    IsoAnswer,
     G,
     H,
     I,
@@ -124,6 +133,99 @@ def test_oracle_symmetry_and_consistency_on_grid():
             i1, i2 = invariants(d1), invariants(d2)
             assert (i1.max_finite_quotient, i1.epsilon) == (i2.max_finite_quotient, i2.epsilon)
         assert ans.justification
+
+
+def _invariants_reference(d):
+    """(max finite quotient, epsilon) straight from the definition."""
+    if d.family is GroupFamily.SYM_FINITE:
+        return factorial(d.k), o("0")
+    return factorial(d.k - 1 if d.family is GroupFamily.H else d.k), d.alpha
+
+
+def _groups_isomorphic_reference(d1, d2):
+    """The decision table as it computed and compared the factorials."""
+    if d1 == d2:
+        return IsoAnswer(Decision.YES, "identical descriptors")
+    if {d1.family, d2.family} == {GroupFamily.G, GroupFamily.H}:
+        g, h = (d1, d2) if d1.family is GroupFamily.G else (d2, d1)
+        if g.k == 1 and h.k == 1 and g.alpha == h.alpha:
+            return IsoAnswer(Decision.YES, CITE_H1G1)
+    if d1.is_finite_group != d2.is_finite_group:
+        return IsoAnswer(Decision.NO, "group cardinality: one group is finite, the other is infinite")
+    if d1.is_finite_group and d2.is_finite_group:
+        if factorial(d1.k) == factorial(d2.k):
+            return IsoAnswer(Decision.YES, "group cardinality: Sym(0) and Sym(1) are both the trivial group")
+        return IsoAnswer(Decision.NO, f"group cardinality: {d1.k}! differs from {d2.k}!")
+    if d1.family is GroupFamily.G and d2.family is GroupFamily.G:
+        return IsoAnswer(Decision.NO, CITE_THM29)
+    inv1, inv2 = _invariants_reference(d1), _invariants_reference(d2)
+    if inv1 != inv2:
+        return IsoAnswer(
+            Decision.NO,
+            "invariant mismatch: (max finite quotient, epsilon) = "
+            f"({inv1[0]}, {inv1[1]}) vs ({inv2[0]}, {inv2[1]})",
+        )
+    if d1.family is GroupFamily.H and d2.family is GroupFamily.H:
+        if d1.k >= 2 and d2.k >= 2:
+            return IsoAnswer(
+                Decision.NO,
+                "no isomorphisms within the H family once k >= 2 "
+                "(the invariants (k-1)! and epsilon determine alpha and k)",
+            )
+        if {d1.k, d2.k} == {1, 2} and d1.alpha == d2.alpha:
+            return IsoAnswer(Decision.UNKNOWN, CITE_Q31)
+    if {d1.family, d2.family} == {GroupFamily.G, GroupFamily.H}:
+        g, h = (d1, d2) if d1.family is GroupFamily.G else (d2, d1)
+        if h.k == g.k + 1 and g.alpha == h.alpha:
+            return IsoAnswer(Decision.UNKNOWN, CITE_Q32)
+    if d1.family is GroupFamily.I and d2.family is GroupFamily.I:
+        if (d1.alpha, d1.k) == (d2.alpha, d2.k):
+            return IsoAnswer(Decision.UNKNOWN, CITE_Q33)
+    if GroupFamily.I in (d1.family, d2.family):
+        i_desc, other = (d1, d2) if d1.family is GroupFamily.I else (d2, d1)
+        if other.family is GroupFamily.G and (other.alpha, other.k) == (i_desc.alpha, i_desc.k):
+            return IsoAnswer(Decision.UNKNOWN, CITE_Q33)
+        if other.family is GroupFamily.H and other.alpha == i_desc.alpha and other.k == i_desc.k + 1:
+            return IsoAnswer(Decision.UNKNOWN, CITE_Q33)
+    return IsoAnswer(
+        Decision.UNKNOWN,
+        "undetermined: the computed invariants agree and no published statement decides this pair",
+    )
+
+
+def test_oracle_matches_the_factorial_reference_up_to_k_30():
+    ks = range(1, 31)
+    alphas = [o("1"), o("2"), o("w")]
+    descriptors = [sym_finite(k) for k in range(31)]
+    descriptors += [family(alpha, k) for family in (G, H) for alpha in alphas for k in ks]
+    descriptors += [I(o("2"), k, o("1")) for k in ks]
+    descriptors += [I(o("w"), k, beta) for k in ks for beta in alphas[:2]]
+    for d1, d2 in itertools.product(descriptors, repeat=2):
+        assert groups_isomorphic(d1, d2) == _groups_isomorphic_reference(d1, d2), (d1, d2)
+    for d in descriptors:
+        inv = invariants(d)
+        assert (inv.max_finite_quotient, inv.epsilon) == _invariants_reference(d)
+
+
+def test_oracle_never_computes_the_factorials_it_compares():
+    big = 10**20
+    answer = groups_isomorphic(sym_finite(big), sym_finite(1700))
+    assert answer == IsoAnswer(Decision.NO, f"group cardinality: {big}! differs from 1700!")
+    answer = groups_isomorphic(sym_finite(10**7), sym_finite(10**7 + 1))
+    assert answer.justification == "group cardinality: 10000000! differs from 10000001!"
+    assert groups_isomorphic(G(o("1"), big), H(o("1"), big + 1)) == IsoAnswer(Decision.UNKNOWN, CITE_Q32)
+    # a mismatch prints both quotients, so one too long to print is refused
+    with pytest.raises(DomainError, match="more than 4300 digits"):
+        groups_isomorphic(H(o("1"), 2 * big), H(o("1"), 2 * big + 1))
+
+
+def test_invariants_refuse_a_quotient_too_long_to_print():
+    assert sys.get_int_max_str_digits() == 4300
+    assert len(str(invariants(sym_finite(1558)).max_finite_quotient)) == 4300
+    assert invariants(H(o("1"), 1559)).max_finite_quotient == factorial(1558)
+    for d in (sym_finite(1559), G(o("1"), 1700), H(o("1"), 1560), sym_finite(10**20)):
+        with pytest.raises(DomainError, match="cannot print a factorial of more than 4300 digits"):
+            invariants(d)
 
 
 def test_umf_descriptor_ordinal():

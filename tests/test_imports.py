@@ -18,17 +18,20 @@ BASE = {"scatterkit", "errors", "ordinal", "classify", "cli"}
 FINITE = BASE | {"finite", "permgroups", "_kernels", "_kernels.pure"}
 
 #: Runs the CLI on argv (none: only imports it) and prints the scatterkit
-#: modules loaded, without the package prefix.
+#: modules loaded, without the package prefix, and argparse if it loaded.
 _PROBE = """
 import contextlib, io, json, sys
 import scatterkit.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = scatterkit.cli.main(sys.argv[1:])
+        try:
+            code = scatterkit.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
     assert code == 0, code
 print(json.dumps(sorted(
     name.partition(".")[2] or name for name in sys.modules
-    if name == "scatterkit" or name.startswith("scatterkit.")
+    if name in ("scatterkit", "argparse") or name.startswith("scatterkit.")
 )))
 """
 
@@ -72,7 +75,12 @@ def test_each_command_loads_only_its_modules(files, argv, modules):
 
 
 def test_only_verify_loads_verify():
-    assert "verify" in loaded("verify", "--suite", "classifier")
+    modules = loaded("verify", "--suite", "classifier")
+    assert "verify" in modules and "argparse" not in modules
+
+
+def test_only_help_and_usage_errors_load_argparse():
+    assert loaded("fspace", "--help") == BASE | {"argparse"}
 
 
 LAZY = {
