@@ -6,6 +6,13 @@ the bijections p with p(masks_a[i]) == masks_b[p(i)] for every i.  With
 minimal-open-set masks these are exactly the homeomorphisms of a finite
 Alexandrov space; with adjacency masks they are graph isomorphisms.
 
+The kernel's unit is a *structure*: the pair ``(masks, member)``, where
+``member = pure.transpose(masks)`` holds, for each point i, the points
+whose mask holds i.  Every step reads both, so a caller builds the pair
+once and hands the same pair to ``refine_colors`` and ``pure.search``; a
+``FiniteSpace`` builds its own once (``finite._structure``).  For
+automorphisms the caller passes one pair object as both sides.
+
 Refinement (``refine_colors``) is a splitter queue on bitmask cells.  It
 hands the search each point's candidate images, read off its cell, and
 the *settled* points, those alone in their cell, which the search
@@ -33,8 +40,9 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def refine_colors(masks_a, masks_b):
-    """Jointly refine both structures to their coarsest equitable partition.
+def refine_colors(a, b):
+    """Jointly refine the structures ``a`` and ``b``, each a pair
+    ``(masks, member)``, to their coarsest equitable partition.
 
     Returns ``(cand, settled)``, or None when refinement refutes the pair,
     in which case no isomorphism exists.  ``cand[i]`` is the bitmask of the
@@ -49,8 +57,8 @@ def refine_colors(masks_a, masks_b):
     Two structures are refined as one: their disjoint union, b's points
     shifted up by n, starting from a single cell.  A cell S taken from
     the queue splits every cell it touches by the key
-    (|masks[x] & S|, |member[x] & S|), where ``member`` is the transpose
-    of ``masks``: how many of x's members lie in S, and how many points
+    (|masks[x] & S|, |member[x] & S|), ``member`` being the pair's
+    transpose: how many of x's members lie in S, and how many points
     of S hold x.  This is Hopcroft's "smaller half" splitter queue
     (Paige & Tarjan 1987; McKay & Piperno, *Practical graph isomorphism
     II*, 2014): when a cell that is not queued splits, every part but the
@@ -61,25 +69,26 @@ def refine_colors(masks_a, masks_b):
     b, which covers a key found on one side only.  With one structure on
     both sides (automorphisms) there is no union and no such check, and
     refinement also stops once every cell is a singleton: a discrete
-    partition is equitable.  On two sides it runs until the queue is
+    partition is equitable; that case is one pair object passed as both
+    ``a`` and ``b``.  On two sides it runs until the queue is
     empty, since singleton pairs still have to be checked against each
     other.  The coarsest equitable partition is unique, so the order of
     the queue changes no cell.
     """
+    (masks_a, member_a), (masks_b, member_b) = a, b
     n = len(masks_a)
     if len(masks_b) != n:
         return None
-    same = masks_a is masks_b
-    member = pure.transpose(masks_a)
+    same = a is b
     lower = (1 << n) - 1
     if same:
-        masks, shift = masks_a, 0
+        masks, member, shift = masks_a, member_a, 0
     else:
         masks = list(masks_a) + [m << n for m in masks_b]
-        member += [m << n for m in pure.transpose(masks_b)]
+        member = list(member_a) + [m << n for m in member_b]
         shift = n
     size = n + shift
-    near_of = [a | b for a, b in zip(masks, member)]
+    near_of = [out | into for out, into in zip(masks, member)]
     cells, cell_of = [(1 << size) - 1], [0] * size
     queue, queued = [0], [True]
     radix = size + 1
@@ -142,9 +151,13 @@ def isomorphisms(masks_a, masks_b, pins=(), limit=0):
 
     The candidate images of each point are its cell under ``refine_colors``;
     ``pins`` forces individual images, ``limit`` > 0 stops the search after
-    that many bijections.  Results are in a deterministic order.
+    that many bijections.  Results are in a deterministic order.  Each
+    side's structure is built once, for both the refinement and the
+    search; the same masks object on both sides is one structure.
     """
-    refined = refine_colors(masks_a, masks_b)
+    a = (masks_a, pure.transpose(masks_a))
+    b = a if masks_b is masks_a else (masks_b, pure.transpose(masks_b))
+    refined = refine_colors(a, b)
     if refined is None:
         return []
     cand, settled = refined
@@ -152,4 +165,4 @@ def isomorphisms(masks_a, masks_b, pins=(), limit=0):
         cand[i] &= 1 << j
         if not cand[i]:
             return []
-    return pure.search(masks_a, masks_b, cand, limit, settled)
+    return pure.search(a, b, cand, limit, settled)

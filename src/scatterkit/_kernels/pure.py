@@ -22,8 +22,10 @@ def transpose(masks):
     return member
 
 
-def search(masks_a, masks_b, cand, limit=0, settled=0):
-    """Backtracking with forward checking on candidate masks.
+def search(a, b, cand, limit=0, settled=0):
+    """Backtracking with forward checking on candidate masks, between the
+    structures ``a = (masks_a, member_a)`` and ``b = (masks_b, member_b)``,
+    each member list the transpose of its masks.
 
     ``cand[i]`` is the bitmask of allowed images of i; the invariant kept
     during the search is that an assignment i -> j is consistent with every
@@ -45,9 +47,8 @@ def search(masks_a, masks_b, cand, limit=0, settled=0):
     order are the same as without ``settled``.  A settled point with no
     candidate left (a contradicting pin) means no result.
     """
+    (masks_a, member_a), (masks_b, member_b) = a, b
     n = len(masks_a)
-    member_b = transpose(masks_b)
-    member_a = member_b if masks_a is masks_b else transpose(masks_a)
     full = (1 << n) - 1
     results = []
     assignment = [-1] * n

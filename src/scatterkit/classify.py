@@ -18,6 +18,7 @@ from enum import Enum
 
 from .errors import OutOfSpaceError, UnrepresentableProfileError
 from .ordinal import ONE, ZERO, Ordinal, add, as_ordinal, divide_by_power, omega_power
+from .ordinal import format_natural
 
 __all__ = [
     "Family",
@@ -98,10 +99,10 @@ class SpaceClass:
 
     def __str__(self):
         if self.family is Family.FINITE:
-            return f"Finite({self.k})"
+            return f"Finite({format_natural(self.k)})"
         if self.family is Family.LIMIT_MIXED:
-            return f"LimitMixed(alpha={self.alpha}, k={self.k}, beta={self.beta})"
-        return f"{self.family.value}(alpha={self.alpha}, k={self.k})"
+            return f"LimitMixed(alpha={self.alpha}, k={format_natural(self.k)}, beta={self.beta})"
+        return f"{self.family.value}(alpha={self.alpha}, k={format_natural(self.k)})"
 
 
 def classify(gamma: Ordinal | int) -> SpaceClass:

@@ -24,7 +24,7 @@ from .classify import (
     point_rank,
 )
 from .errors import ParseError, ScatterkitError
-from .ordinal import parse
+from .ordinal import format_natural, parse
 
 if TYPE_CHECKING:
     import argparse
@@ -55,9 +55,12 @@ class _Emitter:
         self.rows: list[tuple[str, str]] = []
 
     def put(self, key: str, value) -> None:
-        """Queue one row; a bool prints as ``true`` or ``false``."""
+        """Queue one row; a bool prints as ``true`` or ``false``, an int
+        through ``format_natural``."""
         if isinstance(value, bool):
             value = "true" if value else "false"
+        elif isinstance(value, int):
+            value = format_natural(value)
         self.rows.append((key, str(value)))
 
     def flush(self) -> None:
@@ -417,7 +420,15 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv) or build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        # Some argparse versions (Python 3.11's among them) hand over a
+        # positional given as a second '--' as an empty list; others keep
+        # the '--'.
+        for name in COMMANDS[args.command][2]:
+            if getattr(args, name) == []:
+                setattr(args, name, "--")
     out = _Emitter(structured=args.format == "structured")
     try:
         code = args.func(args, out)

@@ -72,10 +72,11 @@ class FiniteSpace:
     bitmask per point: bit j of ``_masks[i]`` is set when point j lies in
     U_i.  ``min_open``, each point name mapped to the member names of its
     minimal open set, is built from the masks on first read.  A space is
-    fixed once built, so ``cb_data``, ``similarity_partition``,
-    ``homeo_group`` and ``is_fully_transitive`` each derive their result
-    once per space object, keep it in ``_derived`` and hand the same object
-    to every later call.
+    fixed once built, so the kernel's structure (``_structure``),
+    ``cb_data``, ``similarity_partition``, ``homeo_group`` and
+    ``is_fully_transitive`` each derive their result once per space
+    object, keep it in ``_derived`` and hand the same object to every
+    later call.
     """
 
     def __init__(self, points, min_open):
@@ -269,6 +270,13 @@ def _derive(space, key, compute):
     return derived[key]
 
 
+def _structure(space):
+    """The space's kernel structure ``(masks, member)``, built once:
+    member[i] is the mask of the points whose minimal open set holds i."""
+    masks = space._masks
+    return _derive(space, "structure", lambda _: (masks, pure.transpose(masks)))
+
+
 @dataclass(frozen=True)
 class CBData:
     """Derived sequence, per-point ranks and the space rank."""
@@ -453,12 +461,13 @@ def _similarity_partition(space):
     )
 
 
-def _stabiliser_chain(masks, refined):
+def _stabiliser_chain(structure, refined):
     """The chain of the group of permutations p with p(masks[i]) ==
-    masks[p(i)] for every i, from pinned kernel searches.  ``refined`` is
-    ``refine_colors(masks, masks)``: each point's cell in the coarsest
-    equitable partition, which every such p preserves, and the settled
-    points, those alone in their cell.
+    masks[p(i)] for every i, from pinned kernel searches on the kernel
+    structure (masks, member).  ``refined`` is ``refine_colors(structure,
+    structure)``: each point's cell in the coarsest equitable partition,
+    which every such p preserves, and the settled points, those alone in
+    their cell.
 
     Level i pins 0..i-1 to themselves.  The orbit of i is first grown by
     closure under the elements already found that fix that prefix; then
@@ -471,7 +480,7 @@ def _stabiliser_chain(masks, refined):
     and its level needs no search.  The settled points are passed to every
     search: assigned up front, never checked.
     """
-    n = len(masks)
+    n = len(structure[0])
     identity = tuple(range(n))
     cand, fixed = refined
     pinned = list(cand)
@@ -481,14 +490,15 @@ def _stabiliser_chain(masks, refined):
         cell = cand[i] >> i << i
         if cell != 1 << i:
             if not known:
-                known = [g for g in pure.search(masks, masks, pinned, 2, fixed) if g != identity]
+                found = pure.search(structure, structure, pinned, 2, fixed)
+                known = [g for g in found if g != identity]
                 if not known:
                     break
             orbit = _grow_orbit({i: identity}, known)
             reached = sum(1 << j for j in orbit)
             while cell & ~reached:
                 pinned[i] = cell & ~reached
-                found = pure.search(masks, masks, pinned, 1, fixed)
+                found = pure.search(structure, structure, pinned, 1, fixed)
                 if not found:
                     break
                 known.append(found[0])
@@ -520,8 +530,8 @@ def homeo_group(space: FiniteSpace, max_points: int = DEFAULT_MAX_POINTS) -> Per
 
 
 def _homeo_group(space):
-    masks = space._masks
-    chain = _stabiliser_chain(masks, refine_colors(masks, masks))
+    structure = _structure(space)
+    chain = _stabiliser_chain(structure, refine_colors(structure, structure))
     return PermutationGroup._from_chain(space.points, chain)
 
 
@@ -619,7 +629,7 @@ def _direct_failure(space, part):
     of its signature, and sends u to the first point of B the check
     found out of reach.
     """
-    masks = space._masks
+    structure = _structure(space)
     blocks = [tuple(map(space.index, block)) for block in part.blocks]
     cand = [0] * space.size
     for block in blocks:
@@ -642,7 +652,7 @@ def _direct_failure(space, part):
             pinned[i] = 1 << i
         for y in others:
             pinned[xs[-1]] = 1 << y
-            if not pure.search(masks, masks, pinned, 1):
+            if not pure.search(structure, structure, pinned, 1):
                 return (
                     tuple(space.points[i] for i in xs),
                     tuple(space.points[i] for i in (*xs[:-1], y)),
@@ -661,9 +671,10 @@ class SwapResult:
     piece_y: tuple[str, ...] = ()
 
 
-def _component(masks, member, start):
+def _component(structure, start):
     """The connected component of ``start`` in the comparability graph of
-    ``masks``, whose transpose is ``member``, as a bitmask."""
+    the kernel structure (masks, member), as a bitmask."""
+    masks, member = structure
     comp = frontier = 1 << start
     while frontier:
         near = 0
@@ -678,14 +689,16 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
     """The three-case swap: h on a clopen piece around x, its inverse on a
     disjoint clopen piece around y, identity elsewhere.
 
-    The pieces are the components around x and y of ``sub``, the masks
-    with the fixed set's rows and bits cleared.  One refinement of ``sub``
-    gives every point its candidate images, narrowed so that each piece
-    maps onto the other, x to y and every other point to itself.  Every
-    swap fixes the fixed set pointwise, so it is an automorphism of
-    ``sub`` and lies within the candidates.  Searched on the whole space,
-    they give a homeomorphism p, and the swap glued from p on x's piece
-    and its inverse is then one too; every homeomorphic swap is such a p.
+    The pieces are the components around x and y of ``sub``, the
+    structure of the masks with the fixed set's rows and bits cleared,
+    built once for both component walks, the refinement and the search
+    on ``sub``.  One refinement of ``sub`` gives every point its
+    candidate images, narrowed so that each piece maps onto the other,
+    x to y and every other point to itself.  Every swap fixes the fixed
+    set pointwise, so it is an automorphism of ``sub`` and lies within
+    the candidates.  Searched on the whole space's own structure, they
+    give a homeomorphism p, and the swap glued from p on x's piece and
+    its inverse is then one too; every homeomorphic swap is such a p.
     When there is none, a search on ``sub`` tells whether the pieces are
     isomorphic with x -> y at all, which deleting the fixed set can allow
     while minimal opens that straddle a piece forbid every swap.  Only
@@ -703,9 +716,9 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
     if ix == iy:
         return SwapResult(True, {p: p for p in space.points}, None, (x,), (y,))
     rest = ((1 << n) - 1) & ~sum(1 << i for i in fixed_idx)
-    sub = [m & rest if rest >> i & 1 else 0 for i, m in enumerate(space._masks)]
-    member = pure.transpose(sub)
-    comp_x = _component(sub, member, ix)
+    cleared = [m & rest if rest >> i & 1 else 0 for i, m in enumerate(space._masks)]
+    sub = (cleared, pure.transpose(cleared))
+    comp_x = _component(sub, ix)
     if comp_x >> iy & 1:
         return SwapResult(
             False,
@@ -713,7 +726,7 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
             "x and y lie in the same connected component of the space minus the "
             "fixed set, so no disjoint clopen pieces around them exist",
         )
-    comp_y = _component(sub, member, iy)
+    comp_y = _component(sub, iy)
     piece_x = tuple(space.points[i] for i in _bits(comp_x))
     piece_y = tuple(space.points[i] for i in _bits(comp_y))
     if len(piece_x) != len(piece_y):
@@ -731,7 +744,8 @@ def swap_homeo(space: FiniteSpace, x: str, y: str, fixed=()) -> SwapResult:
         else:
             cand[i] = 1 << i
     cand[ix] &= 1 << iy
-    found = pure.search(space._masks, space._masks, cand, 1)
+    whole = _structure(space)
+    found = pure.search(whole, whole, cand, 1)
     if not found:
         if not pure.search(sub, sub, cand, 1, settled):
             reason = "the clopen pieces around x and y admit no isomorphism carrying x to y"

@@ -21,7 +21,9 @@ breadth-first orbit under the group's generators.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .errors import BoundExceededError, DomainError
@@ -47,6 +49,9 @@ def lo_space(n: int, max_n: int = DEFAULT_MAX_ENUMERATION) -> list[tuple[int, ..
         raise DomainError(f"the number of elements must be non-negative, got {n}")
     if n > max_n:
         raise BoundExceededError(f"LO enumeration is limited to {max_n} elements")
+    # no list holds more than sys.maxsize items, and 21! is past it
+    if factorial(min(n, 21)) > sys.maxsize:
+        raise BoundExceededError(f"{n}! linear orders are more than one list can hold")
     return list(itertools.permutations(range(1, n + 1)))
 
 

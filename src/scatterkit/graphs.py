@@ -20,8 +20,7 @@ from .errors import (
     UnknownPointError,
     ValidationError,
 )
-from ._kernels import pure
-from .finite import FiniteSpace, PermutationGroup, cb_data, homeo_group
+from .finite import FiniteSpace, PermutationGroup, _structure, cb_data, homeo_group
 
 __all__ = [
     "Graph",
@@ -311,8 +310,9 @@ def verify_prop24(
     derived_is_edges = len(data.levels) > 1 and space._mask(data.levels[1]) == edge_points
     second_empty = len(data.levels) > 2 and data.levels[2] == frozenset()
 
-    # closed[i]: the points whose minimal open set holds point i
-    closed = pure.transpose(masks)
+    # closed[i]: the points whose minimal open set holds point i, read off
+    # the structure that homeo_group searched
+    closed = _structure(space)[1]
     closures_match = True
     for v, i, want in zip(names, vertex_idx, expected):
         if closed[i] != want:
@@ -340,31 +340,27 @@ def verify_prop24(
     )
 
 
-def enumerate_graphs(n: int, up_to_iso: bool = True):
-    """All graphs on exactly n labelled vertices with at least one edge.
-
-    With ``up_to_iso`` one representative per isomorphism class is kept:
-    the first edge bitmask of each class, whose relabellings under every
-    vertex order are then all marked seen.
+def enumerate_graphs(n: int):
+    """One graph per isomorphism class on exactly n labelled vertices with
+    at least one edge: the first edge bitmask of each class, whose
+    relabellings under every vertex order are then all marked seen.
     """
     if n > 6:
         raise BoundExceededError("graph enumeration is limited to 6 vertices")
     names = tuple(f"v{i + 1}" for i in range(n))
     pairs = list(itertools.combinations(range(n), 2))
-    if up_to_iso:
-        # For each vertex order, pair index -> bit of the relabelled pair.
-        pair_bit = {pair: 1 << k for k, pair in enumerate(pairs)}
-        relabel = [
-            tuple(pair_bit[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
-            for perm in itertools.permutations(range(n))
-        ]
+    # For each vertex order, pair index -> bit of the relabelled pair.
+    pair_bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    relabel = [
+        tuple(pair_bit[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+        for perm in itertools.permutations(range(n))
+    ]
     seen = set()
     for bits in range(1, 1 << len(pairs)):
         if bits in seen:
             continue
         present = [k for k in range(len(pairs)) if (bits >> k) & 1]
-        if up_to_iso:
-            seen.update(sum(map(table.__getitem__, present)) for table in relabel)
+        seen.update(sum(map(table.__getitem__, present)) for table in relabel)
         yield Graph(names, [(names[pairs[k][0]], names[pairs[k][1]]) for k in present])
 
 

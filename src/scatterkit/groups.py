@@ -16,7 +16,6 @@ an open question.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .classify import Family, class_profile, classify
 from .errors import DomainError
-from .ordinal import ZERO, Ordinal
+from .ordinal import MAX_DIGITS, ZERO, Ordinal, format_natural
 
 if TYPE_CHECKING:
     from .finite import FiniteSpace
@@ -104,10 +103,10 @@ class GroupDescriptor:
 
     def __str__(self):
         if self.family is GroupFamily.SYM_FINITE:
-            return f"Sym({self.k})"
+            return f"Sym({format_natural(self.k)})"
         if self.family is GroupFamily.I:
-            return f"I({self.alpha}, {self.k}, {self.beta})"
-        return f"{self.family.value}({self.alpha}, {self.k})"
+            return f"I({self.alpha}, {format_natural(self.k)}, {self.beta})"
+        return f"{self.family.value}({self.alpha}, {format_natural(self.k)})"
 
 
 def G(alpha: Ordinal, k: int) -> GroupDescriptor:
@@ -160,17 +159,15 @@ def _same_factorial(k: int, m: int) -> bool:
 
 
 def _printable_factorial(k: int) -> int:
-    """k!, or DomainError when it has more digits than Python converts to
-    text (``sys.get_int_max_str_digits()``, 4300 by default).
+    """k!, or DomainError when it has more than ``MAX_DIGITS`` digits.
 
-    k! > 10^k for k >= 25 and the limit is 0 (off) or at least 640, so a k
-    past the limit is refused before k! is computed.
+    k! > 10^k for k >= 25, so a k past ``MAX_DIGITS`` is refused before
+    k! is computed.
     """
-    limit = sys.get_int_max_str_digits()
-    value = factorial(k) if k <= limit or not limit else None
-    # a value of at most 3 bits a digit is below 8^limit, so below 10^limit
-    if value is None or value.bit_length() > 3 * limit > 0 and value >= 10**limit:
-        raise DomainError(f"cannot print a factorial of more than {limit} digits")
+    value = factorial(k) if k <= MAX_DIGITS else None
+    # a value of at most 3 bits a digit is below 8^MAX_DIGITS, so below 10^MAX_DIGITS
+    if value is None or value.bit_length() > 3 * MAX_DIGITS and value >= 10**MAX_DIGITS:
+        raise DomainError(f"cannot print a factorial of more than {MAX_DIGITS} digits")
     return value
 
 
@@ -219,7 +216,7 @@ def groups_isomorphic(d1: GroupDescriptor, d2: GroupDescriptor) -> IsoAnswer:
             )
         return IsoAnswer(
             Decision.NO,
-            f"group cardinality: {d1.k}! differs from {d2.k}!",
+            f"group cardinality: {format_natural(d1.k)}! differs from {format_natural(d2.k)}!",
         )
 
     if d1.family is GroupFamily.G and d2.family is GroupFamily.G:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +39,7 @@ __all__ = [
     "omega_power",
     "parse",
     "format_ordinal",
+    "format_natural",
     "compare",
     "add",
     "mul_power",
@@ -48,6 +48,15 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 64
+#: The most digits of one integer that scatterkit reads or prints:
+#: CPython's default limit on int/str conversion, fixed here so that the
+#: interpreter's own setting changes no output.  Longer numbers are
+#: converted in pieces of ``_PIECE`` digits, below the least limit the
+#: interpreter accepts (640 digits).
+MAX_DIGITS = 4300
+_PIECE = 600
+_SHIFT = 10**_PIECE
+_TOO_LONG = 10**MAX_DIGITS
 
 
 class Kind(Enum):
@@ -287,32 +296,38 @@ def kind(o: Ordinal | int) -> Kind:
 def format_ordinal(o: Ordinal) -> str:
     """Canonical rendering; omits *1 and ^1, prints the finite term bare.
 
-    Raises DomainError when a coefficient has more digits than Python
-    converts to text (``sys.get_int_max_str_digits()``, 4300 by default);
-    a sum of two literals that parse can reach that length.
+    Raises DomainError when a coefficient or a finite exponent has more
+    than ``MAX_DIGITS`` digits (``format_natural``); a sum of two literals
+    that parse can reach that length.
     """
     if not o.terms:
         return "0"
     parts = []
-    try:
-        for exp, coeff in o.terms:
-            if exp.is_zero:
-                parts.append(str(coeff))
-                continue
-            if exp == ONE:
-                s = "w"
-            elif exp.is_finite:
-                s = f"w^{int(exp)}"
-            else:
-                s = f"w^({format_ordinal(exp)})"
-            if coeff != 1:
-                s += f"*{coeff}"
-            parts.append(s)
-    except ValueError:
-        raise DomainError(
-            f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} digits"
-        ) from None
+    for exp, coeff in o.terms:
+        if exp.is_zero:
+            parts.append(format_natural(coeff))
+            continue
+        if exp == ONE:
+            s = "w"
+        elif exp.is_finite:
+            s = f"w^{format_natural(int(exp))}"
+        else:
+            s = f"w^({format_ordinal(exp)})"
+        if coeff != 1:
+            s += f"*{format_natural(coeff)}"
+        parts.append(s)
     return " + ".join(parts)
+
+
+def format_natural(n: int) -> str:
+    """n in decimal, or DomainError when it has more than ``MAX_DIGITS``
+    digits, whatever the interpreter's own conversion limit."""
+    if n >= _TOO_LONG:
+        raise DomainError(f"cannot print a coefficient of more than {MAX_DIGITS} digits")
+    if n < _SHIFT:
+        return str(n)
+    high, low = divmod(n, _SHIFT)
+    return format_natural(high) + str(low).zfill(_PIECE)
 
 
 #: One match per token, captured: an ASCII digit run or any other
@@ -341,11 +356,11 @@ def _nat(token: str, index: int) -> int:
     # ["0", ":") are exactly the numbers
     if not "0" <= token < ":":
         raise _Failure("expected a number", index)
-    try:
+    if len(token) <= _PIECE:
         return int(token)
-    except ValueError:
-        # Python refuses int() on more digits than sys.get_int_max_str_digits()
-        raise _Failure(f"integer literal of {len(token)} digits is too long", index) from None
+    if len(token) > MAX_DIGITS:
+        raise _Failure(f"integer literal of {len(token)} digits is too long", index)
+    return _nat(token[:-_PIECE], index) * _SHIFT + int(token[-_PIECE:])
 
 
 def _sum(tokens: list[str], i: int, depth: int, max_depth: int):

@@ -98,6 +98,16 @@ def test_domain_error_exits_1():
     assert code == 1
     code, _ = run_cli("profile", "w^(w)")
     assert code == 1
+    # a raised bound cannot make 10^20! linear orders listable
+    code, _ = run_cli("flows", "--n", "99999999999999999999", "--max-points", "99999999999999999999")
+    assert code == 1
+
+
+def test_a_second_double_dash_is_a_positional(capsys):
+    # argparse on Python 3.11 hands it over as an empty list
+    for argv in (("homeomorphic", "0", "--", "--"), ("classify", "--", "--")):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == "error: expected 'w' or a number (at position 0)\n"
 
 
 def test_fspace_commands(tmp_path):
@@ -642,12 +652,13 @@ def cli_files(tmp_path_factory):
     return [str(root / name) for name in [*files, "a-directory", "missing.txt"]]
 
 
-#: Ordinal texts: k! past 4300 digits (group, groups-iso), huge and
-#: negative numbers, and text that does not parse.
+#: Ordinal texts: k! past 4300 digits (group, groups-iso), k itself past
+#: 4300 digits (homeomorphic, groups-iso), huge and negative numbers, and
+#: text that does not parse.
 _ORDINALS = [
     "w", "w^2*3 + w*2 + 5", "1558", "1559", "w*1700", "w^2*99999999999999999999 + w",
     "99999999999999999999", "w*20000000000000000000", "w*20000000000000000001", "w^w",
-    "-1", "w^^",
+    "-1", "w^^", "9" * 4300 + " + " + "9" * 4300,
 ]
 
 
@@ -671,6 +682,43 @@ def test_group_prints_k_factorial_up_to_4300_digits(capsys):
     for ordinal in ("1559", "w*1700", "99999999999999999999"):
         assert run_cli("group", ordinal) == (1, "")
         assert capsys.readouterr().err == "error: cannot print a factorial of more than 4300 digits\n"
+
+
+def test_huge_k_exits_1_in_every_command_that_prints_it(capsys):
+    nines = "9" * 4300
+    for argv in (
+        ("homeomorphic", f"{nines} + {nines}", "1"),
+        ("homeomorphic", f"w*{nines} + w*{nines}", "1"),
+        ("groups-iso", f"{nines} + {nines}", "1"),
+        ("groups-iso", f"w*{nines} + w*{nines} + 1", "w+1"),
+    ):
+        assert run_cli(*argv) == (1, ""), argv[0]
+        assert capsys.readouterr().err == "error: cannot print a coefficient of more than 4300 digits\n"
+
+
+def test_the_print_bound_does_not_follow_the_interpreter_limit():
+    """The 4300-digit bound is scatterkit's own: with Python's conversion
+    limit off or at its least, the same numbers are read, printed and
+    refused as under the default."""
+    nines = "9" * 4300
+    for limit in ("0", "640"):
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": limit}
+
+        def run(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "scatterkit", "--format", "structured", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        assert run("group", "99999999999999999999") == (
+            1, "", "error: cannot print a factorial of more than 4300 digits\n"
+        )
+        code, out, _ = run("group", "1558")
+        assert code == 0
+        assert len(re.search(r"^max_finite_quotient=(\d+)$", out, re.M).group(1)) == 4300
+        assert run("classify", nines)[:2] == (0, run_cli("--format", "structured", "classify", nines)[1])
+        assert run("classify", "9" + nines)[0] == 2
 
 
 def test_groups_iso_of_huge_finite_spaces_answers_at_once():

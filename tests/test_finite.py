@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterkit import cli, finite
-from scatterkit._kernels import _bits, isomorphisms
+from scatterkit._kernels import _bits, isomorphisms, pure
 from scatterkit.errors import (
     BoundExceededError,
     DomainError,
@@ -477,6 +477,27 @@ def test_each_request_derives_the_space_data_once(tmp_path, monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert calls == dict.fromkeys(workers, 1), argv
+
+
+def test_one_space_is_transposed_once(monkeypatch):
+    """The group, full transitivity, the normal subgroups and a swap all
+    read the space's one kernel structure; the similarity checks and the
+    swap's cleared masks build structures of their own."""
+    transposed = []
+    transpose = pure.transpose
+
+    def counted(masks):
+        transposed.append(masks)
+        return transpose(masks)
+
+    monkeypatch.setattr(pure, "transpose", counted)
+    space = fan_forest((2, 2))
+    normal_subgroups(homeo_group(space))
+    assert not is_fully_transitive(space).holds
+    assert swap_homeo(space, "l0_0", "l1_1").ok
+    assert swap_homeo(space, "l0_0", "l0_1", ["c0"]).ok
+    assert sum(masks is space._masks for masks in transposed) == 1
+    assert len(transposed) > 1
 
 
 def test_scattered_iff_t0_small():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterkit import graphs
-from scatterkit._kernels import isomorphisms
+from scatterkit._kernels import isomorphisms, pure
 from scatterkit.cli import main
 from scatterkit.errors import (
     BoundExceededError,
@@ -79,11 +79,20 @@ def test_graph_parse():
         Graph.parse("a b c\n")
 
 
+def labelled_graphs(n):
+    """Every graph with at least one edge on the labelled vertices v1..vn,
+    by increasing edge bitmask over the vertex pairs in order."""
+    names = tuple(f"v{i + 1}" for i in range(n))
+    pairs = list(itertools.combinations(names, 2))
+    for bits in range(1, 1 << len(pairs)):
+        yield Graph(names, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+
+
 def test_graph_parse_round_trip():
     """``vertex v`` lines for every vertex, then ``u v`` lines for every edge,
     parse back to the same vertices and edges."""
     rng = random.Random(24)
-    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, up_to_iso=False)]
+    graphs = [g for n in range(2, 6) for g in labelled_graphs(n)]
     graphs += [random_graph(rng.randint(6, 8), rng) for _ in range(20)]
     graphs += [make(n) for make in (path, cycle, complete) for n in range(3, 8)]
     graphs.append(petersen())
@@ -183,7 +192,7 @@ def _encode_reference(g):
 
 def test_encode_matches_name_table_reference():
     rng = random.Random(22)
-    cases = [g for n in range(2, 5) for g in enumerate_graphs(n, up_to_iso=False)]
+    cases = [g for n in range(2, 5) for g in labelled_graphs(n)]
     cases += [random_graph(rng.randint(2, 8), rng) for _ in range(40)]
     cases += [petersen(), complete(8)]
     for g in cases:
@@ -245,7 +254,7 @@ def _aut_reference(g):
 
 def test_aut_matches_reference():
     rng = random.Random(24)
-    graphs = [g for n in range(2, 6) for g in enumerate_graphs(n, up_to_iso=False)]
+    graphs = [g for n in range(2, 6) for g in labelled_graphs(n)]
     graphs += [random_graph(rng.randint(6, 8), rng) for _ in range(20)]
     graphs.append(petersen())
     for g in graphs:
@@ -285,6 +294,23 @@ def test_verify_prop24_petersen():
     report = verify_prop24(petersen(), max_vertices=10)
     assert report.ok
     assert report.homeo_order == 120
+
+
+def test_verify_prop24_transposes_the_encoding_once(monkeypatch):
+    """The group's searches and the closure check read one structure."""
+    transposed = []
+    transpose = pure.transpose
+
+    def counted(masks):
+        transposed.append(masks)
+        return transpose(masks)
+
+    monkeypatch.setattr(pure, "transpose", counted)
+    for g in (cycle(5), complete(4), petersen()):
+        transposed.clear()
+        report = verify_prop24(g, max_vertices=10)
+        assert report.ok
+        assert len(transposed) == 1 and transposed[0] is report.space._masks, g
 
 
 def _verify_prop24_reference(g, max_vertices=DEFAULT_MAX_VERTICES, pairwise_limit=200):
@@ -354,7 +380,7 @@ def _fields(report):
 
 def test_verify_prop24_matches_reference():
     rng = random.Random(24)
-    cases = [g for n in range(2, 6) for g in enumerate_graphs(n, up_to_iso=False)]
+    cases = [g for n in range(2, 6) for g in labelled_graphs(n)]
     cases += [complete(6), complete(7)]
     cases += [random_graph(rng.randint(6, 8), rng) for _ in range(30)]
     for g in cases:
@@ -525,8 +551,6 @@ def test_non_isomorphic_graphs_distinguished():
 
 def test_enumerate_graphs_counts():
     assert [len(list(enumerate_graphs(n))) for n in (2, 3, 4, 5)] == [1, 3, 10, 33]
-    labelled = len(list(enumerate_graphs(3, up_to_iso=False)))
-    assert labelled == 7  # 2^3 - 1 edge subsets
 
 
 def test_enumerate_graphs_bound():

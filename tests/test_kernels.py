@@ -38,6 +38,11 @@ def random_structure(rng, n, density=0.3):
     return masks
 
 
+def structure(masks):
+    """The kernel's unit: the masks with their transpose."""
+    return masks, pure.transpose(masks)
+
+
 def relabelled(masks, perm):
     n = len(masks)
     out = [0] * n
@@ -107,7 +112,7 @@ def test_relabelled_structures_are_isomorphic():
 
 def test_refinement_detects_impossible_pairs():
     # a chain of length 2 versus a discrete pair
-    assert refine_colors([0b01 | 0b10, 0b10], [0b01, 0b10]) is None
+    assert refine_colors(structure([0b01 | 0b10, 0b10]), structure([0b01, 0b10])) is None
 
 
 def test_transpose_on_sparse_and_dense_families():
@@ -232,7 +237,7 @@ def test_search_matches_recursive_reference(case, graph):
         perm = list(range(n))
         rng.shuffle(perm)
         masks_b = relabelled(masks_a, perm)
-        cand, _ = refine_colors(masks_a, masks_b)
+        cand, _ = refine_colors(structure(masks_a), structure(masks_b))
         for i in rng.sample(range(n), rng.randint(0, 3)):
             # a pin inside the cell, or now and then anywhere
             targets = list(_bits(cand[i])) if rng.random() < 0.8 else range(n)
@@ -246,8 +251,9 @@ def test_search_matches_recursive_reference(case, graph):
         if rng.random() < 0.5:
             cand = [(1 << n) - 1] * n
     full = _search_reference(masks_a, masks_b, cand)
-    assert pure.search(masks_a, masks_b, cand) == full
-    assert pure.search(masks_a, masks_b, cand, limit) == full[:limit]
+    a, b = structure(masks_a), structure(masks_b)
+    assert pure.search(a, b, cand) == full
+    assert pure.search(a, b, cand, limit) == full[:limit]
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,21 +264,23 @@ def test_search_with_settled_points_matches_search_without(n, seed, limit, relab
     perm = list(range(n))
     rng.shuffle(perm)
     masks_b = relabelled(masks_a, perm) if relabel else _random_masks(rng, n)
-    refined = refine_colors(masks_a, masks_b)
+    a, b = structure(masks_a), structure(masks_b)
+    refined = refine_colors(a, b)
     if refined is None:
         return
     cand, fixed = refined
     for i in rng.sample(range(n), rng.randint(0, n)):
         cand[i] &= 1 << rng.randrange(n)  # a random pin, which may contradict the cell
-    full = pure.search(masks_a, masks_b, cand)
+    full = pure.search(a, b, cand)
     assert full == _search_reference(masks_a, masks_b, cand)
-    assert pure.search(masks_a, masks_b, cand, 0, fixed) == full
-    assert pure.search(masks_a, masks_b, cand, limit, fixed) == full[:limit]
+    assert pure.search(a, b, cand, 0, fixed) == full
+    assert pure.search(a, b, cand, limit, fixed) == full[:limit]
 
 
 def test_pins_on_settled_points():
     masks = [0b001, 0b010, 0b111]  # the top point 2 is alone in its cell
-    assert refine_colors(masks, masks)[1] == 0b100
+    pair = structure(masks)
+    assert refine_colors(pair, pair)[1] == 0b100
     assert isomorphisms(masks, masks, pins=[(2, 0)]) == []
     assert isomorphisms(masks, masks, pins=[(2, 2)]) == [(0, 1, 2), (1, 0, 2)]
     assert isomorphisms(masks, masks, pins=[(2, 2), (0, 1)]) == [(1, 0, 2)]
@@ -296,7 +304,8 @@ def test_search_needs_no_recursion_per_point():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        assert pure.search(masks, masks, cand, 2) == [identity, swapped]
+        pair = structure(masks)
+        assert pure.search(pair, pair, cand, 2) == [identity, swapped]
         with pytest.raises(RecursionError):
             _search_reference(masks, masks, cand, 2)
     finally:
@@ -382,8 +391,9 @@ def test_refinement_cells_match_reference_on_every_small_preorder():
         masks = space._masks
         want = _reference_cells(masks, masks)
         # one structure against itself, then against an equal copy
-        assert _cells(refine_colors(masks, masks)) == want, space
-        assert _cells(refine_colors(masks, list(masks))) == want, space
+        pair = structure(masks)
+        assert _cells(refine_colors(pair, pair)) == want, space
+        assert _cells(refine_colors(pair, structure(list(masks)))) == want, space
 
 
 def _random_masks(rng, n):
@@ -406,8 +416,9 @@ def test_refinement_cells_match_reference_on_random_two_sided_pairs(n, seed, kin
     else:
         masks_b = _random_masks(rng, n + (kind == "longer"))
     want = _reference_cells(masks_a, masks_b)
-    assert _cells(refine_colors(masks_a, masks_b)) == want
-    assert _cells(refine_colors(masks_b, masks_a)) == _reference_cells(masks_b, masks_a)
+    a, b = structure(masks_a), structure(masks_b)
+    assert _cells(refine_colors(a, b)) == want
+    assert _cells(refine_colors(b, a)) == _reference_cells(masks_b, masks_a)
     if kind == "relabelled":
         assert want is not None
     if kind == "longer":
@@ -423,7 +434,7 @@ def test_settled_points_are_the_singleton_cells_of_the_reference(n, seed, relabe
     rng.shuffle(perm)
     masks_b = relabelled(masks_a, perm) if relabel else _random_masks(rng, n)
     want = _reference_cells(masks_a, masks_b)
-    refined = refine_colors(masks_a, masks_b)
+    refined = refine_colors(structure(masks_a), structure(masks_b))
     if want is None:
         assert refined is None
         return
@@ -433,8 +444,8 @@ def test_settled_points_are_the_singleton_cells_of_the_reference(n, seed, relabe
 def test_refinement_stops_at_the_discrete_partition_on_a_long_chain():
     # every point of a chain is alone in its cell after the first split;
     # the singleton stop leaves the other 1,099 queued cells untaken
-    masks = chain_space(1100)._masks
-    cand, settled = refine_colors(masks, masks)
+    pair = structure(chain_space(1100)._masks)
+    cand, settled = refine_colors(pair, pair)
     assert cand == [1 << i for i in range(1100)]
     assert settled == (1 << 1100) - 1
 
@@ -470,9 +481,10 @@ def test_uniform_start_gives_the_cells_of_the_invariant_seeded_reference():
     for space in spaces:
         masks, colors = space._masks, _invariant_colors(space)
         want = _reference_cells(masks, masks, colors, colors)
-        assert _cells(refine_colors(masks, masks)) == want, space
+        pair = structure(masks)
+        assert _cells(refine_colors(pair, pair)) == want, space
         cell_of = {i: sum(1 << j for j in a) for a, _ in want for i in a}
-        assert refine_colors(masks, masks)[0] == [cell_of[i] for i in range(len(masks))], space
+        assert refine_colors(pair, pair)[0] == [cell_of[i] for i in range(len(masks))], space
 
 
 def test_refinement_cells_match_reference_on_relabelled_and_refuted_pairs():
@@ -488,6 +500,7 @@ def test_refinement_cells_match_reference_on_relabelled_and_refuted_pairs():
             pairs += [(space._masks, other._masks) for other in others]
             for masks_a, masks_b in pairs:
                 want = _reference_cells(masks_a, masks_b)
-                assert _cells(refine_colors(masks_a, masks_b)) == want, (masks_a, masks_b)
+                refined = refine_colors(structure(masks_a), structure(masks_b))
+                assert _cells(refined) == want, (masks_a, masks_b)
                 refuted += want is None
     assert refuted > 100
