@@ -7,8 +7,9 @@ omega^alpha * k, and mixed limits omega^alpha * k + omega^beta with
 homeomorphism invariant, and both are read off the Cantor normal form.
 
 Rank data for the space [0, gamma): the rank of a nonzero point is the
-smallest exponent of its CNF, and the derived subspaces have order types
-given by dividing gamma by powers of omega.
+smallest exponent of its CNF, the derived subspaces have order types
+given by dividing gamma by powers of omega, and the rank levels form at
+most two runs read off the leading term.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import OutOfSpaceError, UnrepresentableProfileError
+from .errors import BoundExceededError, OutOfSpaceError, UnrepresentableProfileError
 from .ordinal import ONE, ZERO, Ordinal, add, as_ordinal, divide_by_power, omega_power
 from .ordinal import format_natural
 
@@ -31,8 +32,13 @@ __all__ = [
     "compactify",
     "point_rank",
     "derived_order_type",
+    "profile_runs",
     "class_profile",
+    "MAX_PROFILE_LEVELS",
 ]
+
+#: The most rank levels ``class_profile`` lists; checked before any is built.
+MAX_PROFILE_LEVELS = 100_000
 
 
 class Family(Enum):
@@ -163,31 +169,50 @@ def derived_order_type(gamma: Ordinal | int, beta: Ordinal | int) -> Ordinal:
     return Ordinal.from_int(int(q) - 1) if q.is_finite else q
 
 
-def class_profile(gamma: Ordinal | int) -> list[tuple[Ordinal, "int | _Aleph0"]]:
-    """Sizes of the rank levels of [0, gamma), one entry per nonempty level.
+def profile_runs(gamma: Ordinal | int) -> list[tuple[int, int, "int | _Aleph0"]]:
+    """The rank levels of [0, gamma) as runs (first rank, number of levels,
+    size of each), in O(terms).
 
-    Levels are listed only for spaces of finite Cantor-Bendixson rank
-    (gamma < omega^omega); beyond that the list would be infinite and an
-    UnrepresentableProfileError is raised.
+    Writing gamma = omega^a * k + rho with rho < omega^a and a >= 1, ranks
+    0 .. a-1 each hold aleph0 points and rank a holds k points, or k - 1
+    when rho = 0 (and is left out when that is 0); a finite gamma = n is
+    one level of n points.  Runs exist only for finite a (gamma <
+    omega^omega); beyond that an UnrepresentableProfileError is raised.
     """
     gamma = as_ordinal(gamma)
     if gamma.is_zero:
         return []
-    if not gamma.leading_exponent.is_finite:
+    lead, k = gamma.terms[0]
+    if not lead.is_finite:
         raise UnrepresentableProfileError(
             f"[0, {gamma}) has infinitely many rank levels; "
             "profiles are listable only for gamma < w^w"
         )
-    profile = []
-    level = 0
-    current = derived_order_type(gamma, ZERO)
-    while not current.is_zero:
-        nxt = derived_order_type(gamma, Ordinal.from_int(level + 1))
-        if current.is_finite:
-            size: int | _Aleph0 = int(current) - int(nxt)
-        else:
-            size = ALEPH0
-        profile.append((Ordinal.from_int(level), size))
-        current = nxt
-        level += 1
-    return profile
+    a = int(lead)
+    if a == 0:
+        return [(0, 1, k)]
+    top = k if len(gamma.terms) > 1 else k - 1
+    return [(0, a, ALEPH0), (a, 1, top)] if top else [(0, a, ALEPH0)]
+
+
+def class_profile(gamma: Ordinal | int) -> list[tuple[Ordinal, "int | _Aleph0"]]:
+    """Sizes of the rank levels of [0, gamma), one entry per nonempty level:
+    the expansion of ``profile_runs``.
+
+    Levels are listed only for spaces of finite Cantor-Bendixson rank
+    (gamma < omega^omega); beyond that the list would be infinite and an
+    UnrepresentableProfileError is raised.  A space with more than
+    ``MAX_PROFILE_LEVELS`` levels raises BoundExceededError before any
+    level is built.
+    """
+    runs = profile_runs(gamma)
+    if sum(count for _, count, _ in runs) > MAX_PROFILE_LEVELS:
+        raise BoundExceededError(
+            f"[0, {as_ordinal(gamma)}) has more rank levels than the cap of "
+            f"{MAX_PROFILE_LEVELS} on listing them"
+        )
+    return [
+        (Ordinal.from_int(rank), size)
+        for first, count, size in runs
+        for rank in range(first, first + count)
+    ]

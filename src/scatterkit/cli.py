@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -24,7 +25,7 @@ from .classify import (
     point_rank,
 )
 from .errors import ParseError, ScatterkitError
-from .ordinal import format_natural, parse
+from .ordinal import format_natural, parse, parse_natural
 
 if TYPE_CHECKING:
     import argparse
@@ -56,16 +57,36 @@ class _Emitter:
 
     def put(self, key: str, value) -> None:
         """Queue one row; a bool prints as ``true`` or ``false``, an int
-        through ``format_natural``."""
+        through ``_signed``."""
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, int):
-            value = format_natural(value)
+            value = _signed(value)
         self.rows.append((key, str(value)))
 
     def flush(self) -> None:
         sep = "=" if self.structured else ": "
         sys.stdout.write("".join(f"{key}{sep}{value}\n" for key, value in self.rows))
+
+
+def _read_int(text: str) -> int:
+    """``int(text)`` as under the interpreter's default conversion limit,
+    whatever its own setting: the same text is refused (ValueError), and
+    at most ``ordinal.MAX_DIGITS`` digits are read, in pieces."""
+    # each digit run stands as one digit, so int() checks the sign,
+    # whitespace and underscores at any length
+    int(re.sub(r"\d+", "0", text))
+    value = parse_natural("".join(re.findall(r"\d", text)))
+    return -value if "-" in text else value
+
+
+# argparse names the type in its usage error: "invalid int value: ..."
+_read_int.__name__ = "int"
+
+
+def _signed(n: int) -> str:
+    """n in decimal through ``format_natural``, with its sign."""
+    return "-" + format_natural(-n) if n < 0 else format_natural(n)
 
 
 def _max_points(args, default: int | None) -> int | None:
@@ -78,12 +99,12 @@ def _max_points(args, default: int | None) -> int | None:
         if not env:
             return default
         try:
-            bound = int(env)
+            bound = _read_int(env)
         except ValueError:
             raise ParseError(f"{ENV_MAX_POINTS} must be an integer, got {env!r}") from None
         source = ENV_MAX_POINTS
     if bound <= 0:
-        raise ParseError(f"{source} must be a positive integer, got {bound}")
+        raise ParseError(f"{source} must be a positive integer, got {_signed(bound)}")
     return bound
 
 
@@ -367,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             if kind is bool:
                 p.add_argument(flag, action="store_true", help=text)
             else:
+                kind = _read_int if kind is int else kind
                 p.add_argument(flag, type=kind, default=default, required=required, help=text)
         p.set_defaults(func=func)
     return parser
@@ -376,8 +398,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` gives a well-formed argv, read
     off the command table in one pass; None for anything else (help, an
     abbreviation, ``--opt=value``, ``--``, a token or value that starts with
-    '-', a missing or extra positional, a missing required option or a value
-    ``int()`` refuses), which argparse then handles."""
+    '-', a missing or extra positional, a missing required option or an
+    integer value ``_read_int`` refuses), which argparse then handles."""
     fmt = FORMATS[0]
     if argv[:1] == ["--format"]:
         fmt = argv[1] if len(argv) > 1 else None
@@ -404,7 +426,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             return None
         if kind is int:
             try:
-                value = int(value)
+                value = _read_int(value)
             except ValueError:
                 return None
         given[token] = value

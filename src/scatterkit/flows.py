@@ -27,6 +27,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .errors import BoundExceededError, DomainError
+from .ordinal import format_natural
 
 if TYPE_CHECKING:
     from .finite import FiniteSpace
@@ -46,12 +47,12 @@ DEFAULT_MAX_FLOW_SIZE = 40320
 def lo_space(n: int, max_n: int = DEFAULT_MAX_ENUMERATION) -> list[tuple[int, ...]]:
     """All linear orders on {1..n}, each as its increasing sequence."""
     if n < 0:
-        raise DomainError(f"the number of elements must be non-negative, got {n}")
+        raise DomainError(f"the number of elements must be non-negative, got -{format_natural(-n)}")
     if n > max_n:
-        raise BoundExceededError(f"LO enumeration is limited to {max_n} elements")
+        raise BoundExceededError(f"LO enumeration is limited to {format_natural(max_n)} elements")
     # no list holds more than sys.maxsize items, and 21! is past it
     if factorial(min(n, 21)) > sys.maxsize:
-        raise BoundExceededError(f"{n}! linear orders are more than one list can hold")
+        raise BoundExceededError(f"{format_natural(n)}! linear orders are more than one list can hold")
     return list(itertools.permutations(range(1, n + 1)))
 
 

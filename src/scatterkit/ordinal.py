@@ -6,6 +6,12 @@ ordinals themselves and the empty tuple is 0.  This representation covers
 exactly the ordinals below epsilon_0.  Values are immutable and hashable,
 all operations are pure.
 
+Every value that enters is checked: ``Ordinal(...)`` checks its terms,
+``as_ordinal`` and ``Ordinal.from_int`` its int, ``omega_power`` its
+arguments and ``parse`` its tokens.  The arithmetic builds its results,
+already in normal form, with ``_of``, which checks nothing; the
+ordinal-laws verification suite re-checks every result it computes.
+
 The text grammar (whitespace ignored, '#' starts a line comment, digits
 are the ASCII 0-9 only):
 
@@ -40,6 +46,7 @@ __all__ = [
     "parse",
     "format_ordinal",
     "format_natural",
+    "parse_natural",
     "compare",
     "add",
     "mul_power",
@@ -86,6 +93,8 @@ class Ordinal:
 
     @staticmethod
     def from_int(n: int) -> Ordinal:
+        if type(n) is int and n > 0:
+            return _of(((ZERO, n),))
         if n < 0:
             raise ValueError("ordinals are non-negative")
         if n == 0:
@@ -181,8 +190,17 @@ class Ordinal:
         return f"Ordinal({format_ordinal(self)!r})"
 
 
+def _of(terms: tuple) -> Ordinal:
+    """The Ordinal of ``terms``, which must already be in Cantor normal form
+    with Ordinal exponents and positive int coefficients; unlike
+    ``Ordinal(terms)`` it checks nothing."""
+    o = object.__new__(Ordinal)
+    object.__setattr__(o, "terms", terms)
+    return o
+
+
 ZERO = Ordinal()
-ONE = Ordinal.from_int(1)
+ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
@@ -218,7 +236,7 @@ def omega_power(exponent: Ordinal | int, coefficient: int = 1) -> Ordinal:
         raise DomainError(f"coefficient must be a non-negative int, got {coefficient!r}")
     if coefficient == 0:
         return ZERO
-    return Ordinal(((exponent, coefficient),))
+    return _of(((exponent, coefficient),))
 
 
 def compare(a: Ordinal | int, b: Ordinal | int) -> int:
@@ -242,8 +260,8 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
         i += 1
     if i < len(a.terms) and a.terms[i][0] == lead:
         merged = (lead, a.terms[i][1] + b.terms[0][1])
-        return Ordinal(a.terms[:i] + (merged,) + b.terms[1:])
-    return Ordinal(a.terms[:i] + b.terms)
+        return _of(a.terms[:i] + (merged,) + b.terms[1:])
+    return _of(a.terms[:i] + b.terms)
 
 
 def mul_power(beta: Ordinal | int, q: Ordinal | int) -> Ordinal:
@@ -252,7 +270,7 @@ def mul_power(beta: Ordinal | int, q: Ordinal | int) -> Ordinal:
     terms = []
     for exp, coeff in q.terms:
         terms.append((beta if exp.is_zero else add(beta, exp), coeff))
-    return Ordinal(tuple(terms))
+    return _of(tuple(terms))
 
 
 def _left_difference(beta: Ordinal, e: Ordinal) -> Ordinal:
@@ -264,14 +282,14 @@ def _left_difference(beta: Ordinal, e: Ordinal) -> Ordinal:
     while j < len(bt) and j < len(et) and bt[j] == et[j]:
         j += 1
     if j == len(bt):
-        return Ordinal(et[j:])
+        return _of(et[j:])
     be, bc = bt[j]
     ee, ec = et[j]
     if ee == be:
         # e > beta forces ec > bc here
-        return Ordinal(((ee, ec - bc),) + et[j + 1 :])
+        return _of(((ee, ec - bc),) + et[j + 1 :])
     # ee > be: adding from exponent ee absorbs beta's tail
-    return Ordinal(et[j:])
+    return _of(et[j:])
 
 
 def divide_by_power(gamma: Ordinal | int, beta: Ordinal | int) -> tuple[Ordinal, Ordinal]:
@@ -286,7 +304,7 @@ def divide_by_power(gamma: Ordinal | int, beta: Ordinal | int) -> tuple[Ordinal,
             break
         high.append((_left_difference(beta, exp), coeff))
         i += 1
-    return Ordinal(tuple(high)), Ordinal(gamma.terms[i:])
+    return _of(tuple(high)), _of(gamma.terms[i:])
 
 
 def kind(o: Ordinal | int) -> Kind:
@@ -330,6 +348,16 @@ def format_natural(n: int) -> str:
     return format_natural(high) + str(low).zfill(_PIECE)
 
 
+def parse_natural(digits: str) -> int:
+    """The value of a run of decimal digits, or ValueError when it has more
+    than ``MAX_DIGITS``, whatever the interpreter's own conversion limit."""
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"integer literal of {len(digits)} digits is too long")
+    if len(digits) <= _PIECE:
+        return int(digits)
+    return parse_natural(digits[:-_PIECE]) * _SHIFT + int(digits[-_PIECE:])
+
+
 #: One match per token, captured: an ASCII digit run or any other
 #: non-whitespace character; a '#' comment to the end of the line matches
 #: with nothing captured.  ``\s`` matches exactly the characters for which
@@ -358,9 +386,10 @@ def _nat(token: str, index: int) -> int:
         raise _Failure("expected a number", index)
     if len(token) <= _PIECE:
         return int(token)
-    if len(token) > MAX_DIGITS:
-        raise _Failure(f"integer literal of {len(token)} digits is too long", index)
-    return _nat(token[:-_PIECE], index) * _SHIFT + int(token[-_PIECE:])
+    try:
+        return parse_natural(token)
+    except ValueError as exc:
+        raise _Failure(str(exc), index) from None
 
 
 def _sum(tokens: list[str], i: int, depth: int, max_depth: int):
@@ -386,7 +415,7 @@ def _sum(tokens: list[str], i: int, depth: int, max_depth: int):
                     inner, i = _sum(tokens, i + 1, depth + 1, max_depth)
                     if tokens[i] != ")":
                         raise _Failure("expected ')'", i)
-                    exponent = Ordinal(tuple(inner))
+                    exponent = _of(tuple(inner))
                 elif token == "w":
                     exponent = OMEGA
                 elif "0" <= token < ":":
@@ -425,4 +454,4 @@ def parse(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Ordinal:
             raise _Failure("trailing input", i)
     except _Failure as failure:
         raise ParseError(failure.message, position=failure.position(text)) from None
-    return Ordinal(tuple(terms))
+    return _of(tuple(terms))

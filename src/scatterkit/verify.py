@@ -80,14 +80,36 @@ def _random_infinite(rng: random.Random) -> Ordinal:
 ORDINAL_ROUNDS = 10_000
 
 
+def _in_normal_form(values) -> bool:
+    """Whether each value, and each exponent inside one, passes the checked
+    constructor: ``Ordinal(o.terms) == o``.  Each object is checked once."""
+    seen, stack = set(), list(values)
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        try:
+            if Ordinal(o.terms) != o:
+                return False
+        except (TypeError, ValueError):
+            return False
+        stack.extend(e for e, _ in o.terms)
+    return True
+
+
 def suite_ordinal_laws(seed: int = DEFAULT_SEED) -> SuiteResult:
     result = SuiteResult("ordinal-laws", True)
     rng = random.Random(seed)
     assoc_ok = absorb_ok = division_ok = True
     absorb_hits = 0
+    results = []  # every value the arithmetic built, re-checked below
     for _ in range(ORDINAL_ROUNDS):
         a, b, c = (random_ordinal(rng) for _ in range(3))
-        if add(add(a, b), c) != add(a, add(b, c)):
+        ab, bc = add(a, b), add(b, c)
+        left, right = add(ab, c), add(a, bc)
+        results += (a, b, c, ab, bc, left, right)
+        if left != right:
             assoc_ok = False
             break
         if add(a, ZERO) != a or add(ZERO, a) != a:
@@ -95,14 +117,20 @@ def suite_ordinal_laws(seed: int = DEFAULT_SEED) -> SuiteResult:
             break
         e = rng.choice(POOL)
         power = omega_power(e)
+        results.append(power)
         if b < power:
             absorb_hits += 1
-            if add(b, power) != power:
+            absorbed = add(b, power)
+            results.append(absorbed)
+            if absorbed != power:
                 absorb_ok = False
                 break
         beta = rng.choice(POOL + (ZERO,))
         q, r = divide_by_power(c, beta)
-        if add(mul_power(beta, q), r) != c or not r < omega_power(beta):
+        product = mul_power(beta, q)
+        back, power = add(product, r), omega_power(beta)
+        results += (q, r, product, back, power)
+        if back != c or not r < power:
             division_ok = False
             break
     result.add(assoc_ok, f"associativity and neutrality of + over {ORDINAL_ROUNDS} seeded triples")
@@ -111,6 +139,10 @@ def suite_ordinal_laws(seed: int = DEFAULT_SEED) -> SuiteResult:
         f"left absorption b + w^e = w^e on {absorb_hits} applicable pairs",
     )
     result.add(division_ok, f"division round-trip gamma = w^beta*q + r with r < w^beta, {ORDINAL_ROUNDS} draws")
+    result.add(
+        _in_normal_form(results),
+        f"all {len(results)} results are in normal form: the checked constructor rebuilds each",
+    )
     return result
 
 

@@ -1,11 +1,15 @@
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterkit.classify import (
     ALEPH0,
+    MAX_PROFILE_LEVELS,
     Family,
     SpaceClass,
     canonical,
@@ -15,8 +19,14 @@ from scatterkit.classify import (
     derived_order_type,
     homeomorphic,
     point_rank,
+    profile_runs,
 )
-from scatterkit.errors import DomainError, OutOfSpaceError, UnrepresentableProfileError
+from scatterkit.errors import (
+    BoundExceededError,
+    DomainError,
+    OutOfSpaceError,
+    UnrepresentableProfileError,
+)
 from scatterkit.ordinal import ONE, ZERO, Ordinal, add, omega_power, parse
 from scatterkit.verify import POOL, random_ordinal
 
@@ -182,6 +192,65 @@ def test_class_profile_unrepresentable():
         class_profile(o("w^(w)"))
     with pytest.raises(UnrepresentableProfileError):
         class_profile(o("w^(w + 1)*2 + w"))
+
+
+def _profile_reference(gamma: Ordinal):
+    """class_profile by walking the rank levels, one derived_order_type per
+    level: the size of level i is the drop from the i-th to the (i+1)-th
+    derived subspace."""
+    if gamma.is_zero:
+        return []
+    assert gamma.leading_exponent.is_finite
+    profile = []
+    level = 0
+    current = derived_order_type(gamma, ZERO)
+    while not current.is_zero:
+        nxt = derived_order_type(gamma, Ordinal.from_int(level + 1))
+        size = int(current) - int(nxt) if current.is_finite else ALEPH0
+        profile.append((Ordinal.from_int(level), size))
+        current = nxt
+        level += 1
+    return profile
+
+
+@st.composite
+def finite_exponent_ordinals(draw):
+    exponents = sorted(draw(st.sets(st.integers(0, 6), max_size=4)), reverse=True)
+    coefficients = draw(st.lists(st.integers(1, 4), min_size=len(exponents), max_size=len(exponents)))
+    return Ordinal(tuple((Ordinal.from_int(e), c) for e, c in zip(exponents, coefficients)))
+
+
+@settings(max_examples=300)
+@given(finite_exponent_ordinals())
+def test_class_profile_matches_the_level_walk(gamma):
+    assert class_profile(gamma) == _profile_reference(gamma)
+
+
+def test_profile_runs_examples():
+    cases = {
+        "0": [],
+        "5": [(0, 1, 5)],
+        "w": [(0, 1, ALEPH0)],
+        "w^2*3 + 1": [(0, 2, ALEPH0), (2, 1, 3)],
+        "w^3*2": [(0, 3, ALEPH0), (3, 1, 1)],
+        "w^3": [(0, 3, ALEPH0)],
+    }
+    for text, runs in cases.items():
+        assert profile_runs(o(text)) == runs, text
+        assert class_profile(o(text)) == _profile_reference(o(text)), text
+
+
+def test_class_profile_bound():
+    assert MAX_PROFILE_LEVELS == 100_000
+    assert len(class_profile(o("w^100000"))) == MAX_PROFILE_LEVELS
+    for text in ("w^100000 + 1", "w^100001", "w^99999999999999999999", "w^" + "9" * 4300 + "*3 + w"):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="more rank levels than the cap of 100000"):
+            class_profile(o(text))
+        assert time.perf_counter() - start < 0.1, text
+    # the infinite profile is refused first, whatever its size
+    with pytest.raises(UnrepresentableProfileError):
+        class_profile(o("w^(w^2) + w^99999999999999999999"))
 
 
 def test_classify_idempotence_randomised():

@@ -4,12 +4,14 @@ import io
 import itertools
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from scatterkit import cli, graphs
@@ -653,26 +655,63 @@ def cli_files(tmp_path_factory):
 
 
 #: Ordinal texts: k! past 4300 digits (group, groups-iso), k itself past
-#: 4300 digits (homeomorphic, groups-iso), huge and negative numbers, and
-#: text that does not parse.
+#: 4300 digits (homeomorphic, groups-iso), huge and negative numbers, huge
+#: exponents (profile, group), and text that does not parse.
 _ORDINALS = [
     "w", "w^2*3 + w*2 + 5", "1558", "1559", "w*1700", "w^2*99999999999999999999 + w",
     "99999999999999999999", "w*20000000000000000000", "w*20000000000000000001", "w^w",
     "-1", "w^^", "9" * 4300 + " + " + "9" * 4300,
+    "w^99999999999999999999", "w^" + "9" * 4300 + "*3 + w",
 ]
 
+#: Wall-clock seconds one argv may take before it counts as a hang.
+_HANG_SECONDS = 10
 
-@settings(max_examples=400, deadline=None)
+
+def _hang(signum, frame):
+    pytest.fail(f"no answer within {_HANG_SECONDS} s")
+
+
+# No shrinking: each smaller candidate of a hang would wait out the cap again.
+@settings(max_examples=400, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(st.data())
 def test_no_argv_ends_in_a_traceback(cli_files, data):
     argv = data.draw(_argv(_VALUES + _ORDINALS + cli_files))
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.setitimer(signal.ITIMER_REAL, _HANG_SECONDS)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, code)
+
+
+@pytest.mark.parametrize("ordinal", ["w^99999999999999999999", "w^" + "9" * 4300 + "*3 + w"])
+@pytest.mark.parametrize("command", ["profile", "group"])
+def test_huge_profiles_are_refused_at_once(capsys, command, ordinal):
+    import scatterkit.groups  # noqa: F401  (imported before the clock starts)
+
+    start = time.perf_counter()
+    assert run_cli(command, ordinal) == (1, "")
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == (
+        f"error: [0, {ordinal}) has more rank levels than the cap of 100000 on listing them\n"
+    )
+
+
+def test_profile_lists_up_to_the_bound():
+    code, out = run_cli("--format", "structured", "profile", "w^100000")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["space=w^100000", "levels=100000", "level.0.size=aleph0"]
+    assert lines[-1] == "level.99999.size=aleph0" and len(lines) == 100002
+    assert run_cli("profile", "w^100000 + 1") == (1, "")
 
 
 def test_group_prints_k_factorial_up_to_4300_digits(capsys):
@@ -719,6 +758,71 @@ def test_the_print_bound_does_not_follow_the_interpreter_limit():
         assert len(re.search(r"^max_finite_quotient=(\d+)$", out, re.M).group(1)) == 4300
         assert run("classify", nines)[:2] == (0, run_cli("--format", "structured", "classify", nines)[1])
         assert run("classify", "9" + nines)[0] == 2
+
+
+def _outcome(argv, env=None):
+    """(exit code, stdout, stderr) of the CLI: in this process, or with env
+    in a fresh interpreter."""
+    if env is not None:
+        proc = subprocess.run([sys.executable, "-m", "scatterkit", *argv], capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_integer_options_do_not_follow_the_interpreter_limit(tmp_path, monkeypatch):
+    """--n, --seed, --max-points and SCATTERKIT_MAX_POINTS take up to 4300
+    digits, read in pieces, whatever PYTHONINTMAXSTRDIGITS says."""
+    monkeypatch.delenv("SCATTERKIT_MAX_POINTS", raising=False)
+    space = tmp_path / "one.txt"
+    space.write_text("a: a\n")
+    long, too_long = "9" * 1000, "9" * 5000
+    cases = [
+        (["fspace", str(space), "--group", "--max-points", long], 0),
+        (["fspace", str(space), "--group", "--max-points", too_long], 2),
+        (["fspace", str(space), "--group", "--max-points", "-" + long], 2),
+        (["flows", "--n", long], 1),
+        (["flows", "--n", "-" + long], 1),
+        (["flows", "--n", long + "9", "--max-points", long], 1),
+        (["verify", "--suite", "classifier", "--seed", long], 0),
+    ]
+    for argv, code in cases:
+        expected = _outcome(argv)
+        assert expected[0] == code, (argv[:2], expected[2][:100])
+        for limit in ("0", "640"):
+            env = {**os.environ, "PYTHONINTMAXSTRDIGITS": limit}
+            got = _outcome(argv, env)
+            if argv[0] == "verify":  # the suite's timing line differs
+                assert got[0] == expected[0], limit
+            else:
+                assert got == expected, (argv[:2], limit)
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "SCATTERKIT_MAX_POINTS": long}
+    assert _outcome(["fspace", str(space), "--group"], env)[0] == 0
+    env["SCATTERKIT_MAX_POINTS"] = too_long
+    assert _outcome(["fspace", str(space), "--group"], env) == (
+        2, "", f"error: SCATTERKIT_MAX_POINTS must be an integer, got {too_long!r}\n"
+    )
+
+
+def test_integer_option_errors_match_argparse_int():
+    for argv in (
+        ["flows", "--n", "four"],
+        ["flows", "--n", "9" * 5000],
+        ["flows", "--n", "1.5", "--max-points", "3"],
+        ["verify", "--suite", "classifier", "--seed", "0x10"],
+    ):
+        with pytest.raises(SystemExit) as ours, redirect_stderr(io.StringIO()) as ours_err:
+            build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as theirs, redirect_stderr(io.StringIO()) as their_err:
+            _reference_parser().parse_args(argv)
+        assert ours.value.code == theirs.value.code == 2
+        assert ours_err.getvalue() == their_err.getvalue()
+        assert "invalid int value" in ours_err.getvalue()
 
 
 def test_groups_iso_of_huge_finite_spaces_answers_at_once():

@@ -544,3 +544,61 @@ def test_finite_ordinals_hash_like_their_int():
     mixed[o("0")] = "zero"
     assert mixed == {3: "ordinal", w: "omega", 0: "zero"}
     assert mixed[3] == "ordinal" and mixed[ZERO] == "zero"
+
+
+# --- checked entry points, unchecked results ---------------------------------
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Ordinal(((ZERO, True),)), ValueError, "coefficient must be a positive integer, got True"),
+        (lambda: Ordinal(((ONE, 1), (w, 1))), ValueError, "exponents must be strictly decreasing"),
+        (lambda: Ordinal(((ONE, 1), (ONE, 2))), ValueError, "exponents must be strictly decreasing"),
+        (lambda: Ordinal(((1, 1),)), TypeError, "exponent must be an Ordinal, got 1"),
+        (lambda: Ordinal.from_int(True), ValueError, "coefficient must be a positive integer, got True"),
+        (lambda: Ordinal.from_int(1.5), ValueError, "coefficient must be a positive integer, got 1.5"),
+        (lambda: Ordinal.from_int(-1), ValueError, "ordinals are non-negative"),
+    ],
+    ids=["bool-coefficient", "increasing", "repeated", "int-exponent", "from-true", "from-float", "from-negative"],
+)
+def test_values_that_enter_are_checked(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_constants_and_from_int_build_checked_values():
+    assert ZERO.terms == () and ONE.terms == ((ZERO, 1),) and w.terms == ((ONE, 1),)
+    assert Ordinal.from_int(0) is ZERO and Ordinal.from_int(0.0) is ZERO
+    assert Ordinal.from_int(7).terms == ((ZERO, 7),)
+
+
+def test_arithmetic_builds_its_results_unchecked(monkeypatch):
+    a, b = o("w^(w + 1)*2 + w^2 + 3"), o("w^2*3 + w")
+    checked = []
+    post_init = Ordinal.__post_init__
+    monkeypatch.setattr(Ordinal, "__post_init__", lambda self: checked.append(self) or post_init(self))
+    add(a, b), add(b, a), add(a, ZERO), add(ZERO, b)
+    mul_power(b, a), mul_power(ONE, b), mul_power(ZERO, a)
+    divide_by_power(a, b), divide_by_power(a, ONE), divide_by_power(b, o("w^(w)"))
+    assert checked == []
+    parse("w^2*3 + w + 1")
+    assert checked == []
+    Ordinal(a.terms)
+    assert len(checked) == 1
+
+
+def _normal(x):
+    """Ordinal(x.terms) == x, for x and every exponent inside it."""
+    return Ordinal(x.terms) == x and all(_normal(e) for e, _ in x.terms)
+
+
+@given(ordinals(), ordinals(), _exponents, st.integers(0, 4))
+@settings(max_examples=300)
+def test_every_result_is_in_normal_form(a, b, beta, k):
+    results = [add(a, b), add(b, a), mul_power(beta, a), mul_power(a, b), omega_power(a, k), omega_power(beta, k)]
+    results += divide_by_power(a, beta) + divide_by_power(b, a)
+    results += [parse(format_ordinal(a)), parse(f"{format_ordinal(b)} + {format_ordinal(a)}")]
+    results.append(parse(f"w^({format_ordinal(a)})*{k} + w^({format_ordinal(b)})"))
+    for result in results:
+        assert _normal(result), result
