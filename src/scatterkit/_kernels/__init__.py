@@ -67,13 +67,15 @@ def refine_colors(a, b):
     queued cell splits, all its new parts are queued.  The pair is
     refuted as soon as a part holds unequal numbers of points of a and of
     b, which covers a key found on one side only.  With one structure on
-    both sides (automorphisms) there is no union and no such check, and
-    refinement also stops once every cell is a singleton: a discrete
-    partition is equitable; that case is one pair object passed as both
-    ``a`` and ``b``.  On two sides it runs until the queue is
-    empty, since singleton pairs still have to be checked against each
-    other.  The coarsest equitable partition is unique, so the order of
-    the queue changes no cell.
+    both sides (automorphisms), one pair object passed as both ``a`` and
+    ``b``, there is no union and no such check.  Either way refinement
+    stops at n cells, since no cell can split further and stay balanced.
+    On one side the partition is then discrete, which is equitable.  On
+    two sides each cell holds one point of a and one of b, and the
+    partition is equitable exactly when the bijection the cells make is
+    an isomorphism: that one bijection is checked, and the pair is refuted
+    when it fails.  The coarsest equitable partition is unique, so the
+    order of the queue changes no cell.
     """
     (masks_a, member_a), (masks_b, member_b) = a, b
     n = len(masks_a)
@@ -92,7 +94,7 @@ def refine_colors(a, b):
     cells, cell_of = [(1 << size) - 1], [0] * size
     queue, queued = [0], [True]
     radix = size + 1
-    while queue and not (same and len(cells) == n):
+    while queue and len(cells) < n:
         s = queue.pop()
         queued[s] = False
         splitter = cells[s]
@@ -138,6 +140,19 @@ def refine_colors(a, b):
                     low = part & -part
                     cell_of[low.bit_length() - 1] = new
                     part ^= low
+    if not same and len(cells) == n:
+        image = [0] * n  # image[i]: the bit of the point of b in a's point i's cell
+        for cell in cells:
+            image[(cell & lower).bit_length() - 1] = cell >> n
+        for i, mask in enumerate(masks_a):
+            mapped = 0
+            while mask:
+                low = mask & -mask
+                mapped |= image[low.bit_length() - 1]
+                mask ^= low
+            if mapped != masks_b[image[i].bit_length() - 1]:
+                return None
+        return image, lower
     settled = 0
     for cell in cells:
         points_a = cell & lower
@@ -157,6 +172,12 @@ def isomorphisms(masks_a, masks_b, pins=(), limit=0):
     """
     a = (masks_a, pure.transpose(masks_a))
     b = a if masks_b is masks_a else (masks_b, pure.transpose(masks_b))
+    return _isomorphisms(a, b, pins, limit)
+
+
+def _isomorphisms(a, b, pins=(), limit=0):
+    """``isomorphisms`` between the structures ``a`` and ``b``, each a pair
+    ``(masks, member)`` its caller built once."""
     refined = refine_colors(a, b)
     if refined is None:
         return []

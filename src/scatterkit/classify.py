@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BoundExceededError, OutOfSpaceError, UnrepresentableProfileError
+from .errors import BoundExceededError, DomainError, OutOfSpaceError, UnrepresentableProfileError
 from .ordinal import ONE, ZERO, Ordinal, add, as_ordinal, divide_by_power, omega_power
 from .ordinal import format_natural
 
@@ -185,7 +185,7 @@ def profile_runs(gamma: Ordinal | int) -> list[tuple[int, int, "int | _Aleph0"]]
     lead, k = gamma.terms[0]
     if not lead.is_finite:
         raise UnrepresentableProfileError(
-            f"[0, {gamma}) has infinitely many rank levels; "
+            f"[0, {_shown(gamma)}) has infinitely many rank levels; "
             "profiles are listable only for gamma < w^w"
         )
     a = int(lead)
@@ -193,6 +193,16 @@ def profile_runs(gamma: Ordinal | int) -> list[tuple[int, int, "int | _Aleph0"]]
         return [(0, 1, k)]
     top = k if len(gamma.terms) > 1 else k - 1
     return [(0, a, ALEPH0), (a, 1, top)] if top else [(0, a, ALEPH0)]
+
+
+def _shown(gamma: Ordinal) -> str:
+    """gamma as printed, or the word gamma when a coefficient is too long
+    to print (``format_natural``), so that an error naming gamma keeps its
+    own class."""
+    try:
+        return str(gamma)
+    except DomainError:
+        return "gamma"
 
 
 def class_profile(gamma: Ordinal | int) -> list[tuple[Ordinal, "int | _Aleph0"]]:
@@ -208,7 +218,7 @@ def class_profile(gamma: Ordinal | int) -> list[tuple[Ordinal, "int | _Aleph0"]]
     runs = profile_runs(gamma)
     if sum(count for _, count, _ in runs) > MAX_PROFILE_LEVELS:
         raise BoundExceededError(
-            f"[0, {as_ordinal(gamma)}) has more rank levels than the cap of "
+            f"[0, {_shown(as_ordinal(gamma))}) has more rank levels than the cap of "
             f"{MAX_PROFILE_LEVELS} on listing them"
         )
     return [

@@ -52,21 +52,20 @@ FORMATS = ("text", "structured")
 
 class _Emitter:
     def __init__(self, structured: bool):
-        self.structured = structured
-        self.rows: list[tuple[str, str]] = []
+        self.sep = "=" if structured else ": "
+        self.lines: list[str] = []
 
     def put(self, key: str, value) -> None:
-        """Queue one row; a bool prints as ``true`` or ``false``, an int
+        """Queue one line; a bool prints as ``true`` or ``false``, an int
         through ``_signed``."""
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, int):
             value = _signed(value)
-        self.rows.append((key, str(value)))
+        self.lines.append(f"{key}{self.sep}{value}\n")
 
     def flush(self) -> None:
-        sep = "=" if self.structured else ": "
-        sys.stdout.write("".join(f"{key}{sep}{value}\n" for key, value in self.rows))
+        sys.stdout.write("".join(self.lines))
 
 
 def _read_int(text: str) -> int:
@@ -210,6 +209,7 @@ def cmd_groups_iso(args, out: _Emitter) -> int:
 
 def cmd_fspace(args, out: _Emitter) -> int:
     from . import finite as fin
+    from ._kernels import _bits
 
     space = fin.FiniteSpace.parse(_read(args.file))
     bound = _max_points(args, fin.DEFAULT_MAX_POINTS)
@@ -220,9 +220,9 @@ def cmd_fspace(args, out: _Emitter) -> int:
     out.put("scattered", sep.scattered)
     data = fin.cb_data(space)
     out.put("cb_rank", data.rank)
-    for i, level in enumerate(data.levels):
-        members = " ".join(sorted(level, key=space.index)) or "-"
-        out.put(f"derived.{i}", members)
+    points = space.points
+    for i, level in enumerate(data._level_masks):
+        out.put(f"derived.{i}", " ".join([points[j] for j in _bits(level)]) or "-")
     part = fin.similarity_partition(space)
     for i, block in enumerate(part.blocks):
         out.put(f"block.{i}", f"rank {part.block_rank(block)}: {' '.join(block)}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import factorial, prod
 from types import MappingProxyType
 
-from ._kernels import _bits, isomorphisms, pure, refine_colors
+from ._kernels import _bits, _isomorphisms, isomorphisms, pure, refine_colors
 from .errors import (
     BoundExceededError,
     DomainError,
@@ -139,6 +139,10 @@ class FiniteSpace:
                 f"transitivity violated: {y!r} lies in the minimal open set of "
                 f"{x!r} but U_{y} is not contained in U_{x}"
             )
+        self._take(points, index, masks)
+
+    def _take(self, points, index, masks):
+        """Take masks already known to be valid; nothing is checked."""
         self.points = points
         self._index = index
         self._masks = tuple(masks)
@@ -277,14 +281,51 @@ def _structure(space):
     return _derive(space, "structure", lambda _: (masks, pure.transpose(masks)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CBData:
-    """Derived sequence, per-point ranks and the space rank."""
+    """Derived sequence, per-point ranks and the space rank.
 
-    levels: tuple[frozenset[str], ...]
-    rank_of: MappingProxyType[str, int]
+    The ranks and the level masks are kept by point index; ``levels``
+    and ``rank_of``, which name the points, are built on first read.
+    """
+
     rank: int
     scattered: bool
+    _points: tuple[str, ...]
+    _ranks: list[int]
+    _level_masks: tuple[int, ...]  # level k: the points of rank >= k
+    # built on first read; set with object.__setattr__, as the class is frozen
+    _levels: tuple[frozenset[str], ...] | None = None
+    _rank_of: MappingProxyType[str, int] | None = None
+
+    @property
+    def levels(self) -> tuple[frozenset[str], ...]:
+        if self._levels is None:
+            points = self._points
+            levels = tuple(frozenset([points[i] for i in _bits(mask)]) for mask in self._level_masks)
+            object.__setattr__(self, "_levels", levels)
+        return self._levels
+
+    @property
+    def rank_of(self) -> MappingProxyType[str, int]:
+        if self._rank_of is None:
+            object.__setattr__(self, "_rank_of", MappingProxyType(dict(zip(self._points, self._ranks))))
+        return self._rank_of
+
+    def __eq__(self, other):
+        if not isinstance(other, CBData):
+            return NotImplemented
+        return (self.levels, self.rank_of, self.rank, self.scattered) == (
+            other.levels, other.rank_of, other.rank, other.scattered
+        )
+
+    __hash__ = None  # rank_of, a mapping, has no hash
+
+    def __repr__(self):
+        return (
+            f"CBData(levels={self.levels!r}, rank_of={self.rank_of!r}, "
+            f"rank={self.rank!r}, scattered={self.scattered!r})"
+        )
 
 
 def cb_data(space: FiniteSpace) -> CBData:
@@ -334,19 +375,10 @@ def _cb_data(space):
         for i in _bits(kernel):
             ranks[i] = rank
     # level k holds exactly the points of rank >= k
-    by_rank = [[] for _ in range(rank + 1)]
-    for name, r in zip(space.points, ranks):
-        by_rank[r].append(name)
-    levels, level = [], frozenset()
-    for names in reversed(by_rank):
-        level = level.union(names)
-        levels.append(level)
-    return CBData(
-        levels=tuple(reversed(levels)),
-        rank_of=MappingProxyType(dict(zip(space.points, ranks))),
-        rank=rank,
-        scattered=not kernel,
-    )
+    level_masks = [kernel]
+    for r in range(rank - 1, -1, -1):
+        level_masks.append(level_masks[-1] | of_rank[r])
+    return CBData(rank, not kernel, space.points, ranks, tuple(reversed(level_masks)))
 
 
 @dataclass(frozen=True)
@@ -390,13 +422,27 @@ def similarity_witness(space: FiniteSpace, x: str, y: str) -> dict[str, str] | N
         return None
     if ux == 1 << ix and uy == 1 << iy:
         return {x: y}
-    a_idx = tuple(_bits(ux))
-    b_idx = tuple(_bits(uy))
-    pins = [(a_idx.index(ix), b_idx.index(iy))]
-    found = isomorphisms(_submasks(space, a_idx), _submasks(space, b_idx), pins=pins, limit=1)
-    if not found:
+    a, b = _neighbourhood(space, ix), _neighbourhood(space, iy)
+    found = _witness(a, b, ix, iy)
+    if found is None:
         return None
-    return {space.points[a_idx[l]]: space.points[b_idx[m]] for l, m in enumerate(found[0])}
+    return {space.points[a[0][l]]: space.points[b[0][m]] for l, m in enumerate(found)}
+
+
+def _neighbourhood(space, i):
+    """U_i as a space of its own: its points in point order, and the kernel
+    structure of their minimal open sets, in local indices."""
+    idx = tuple(_bits(space._masks[i]))
+    masks = _submasks(space, idx)
+    return idx, (masks, pure.transpose(masks))
+
+
+def _witness(a, b, x, y):
+    """An isomorphism of the equal-sized neighbourhoods a and b
+    (``_neighbourhood``) sending x to y, as a local index tuple, or None."""
+    (a_idx, sub_a), (b_idx, sub_b) = a, b
+    found = _isomorphisms(sub_a, sub_b, [(a_idx.index(x), b_idx.index(y))], 1)
+    return found[0] if found else None
 
 
 def similar(space: FiniteSpace, x: str, y: str) -> bool:
@@ -445,20 +491,53 @@ def similarity_partition(space: FiniteSpace) -> SimilarityPartition:
 
 
 def _similarity_partition(space):
-    data = cb_data(space)
-    blocks: list[list[str]] = []
-    for name in space.points:
+    """Each point joins the first block whose first point it is similar to.
+
+    Two points r and i of one rank and one minimal open size are decided
+    as in ``similarity_witness``, on each point's neighbourhood built
+    once, unless U_r minus r equals U_i minus i, as for twins and for two
+    isolated points: then neither lies in the other's set, no point of
+    that common part has r or i below it, and the map sending r to i and
+    fixing the rest is an isomorphism of the two minimal open sets, so
+    they are similar with no search.
+    """
+    data, masks = cb_data(space), space._masks
+    ranks, sizes = data._ranks, [mask.bit_count() for mask in masks]
+    hoods = [None] * space.size
+
+    def similar_to(r, i):
+        """Whether r and i, of one rank and one minimal open size, are similar."""
+        if masks[r] ^ 1 << r == masks[i] ^ 1 << i:
+            return True
+        for k in (r, i):
+            if hoods[k] is None:
+                hoods[k] = _neighbourhood(space, k)
+        return _witness(hoods[r], hoods[i], r, i) is not None
+
+    blocks: list[list[int]] = []
+    for i in range(space.size):
         for block in blocks:
-            rep = block[0]
-            if data.rank_of[rep] == data.rank_of[name] and similar(space, rep, name):
-                block.append(name)
+            r = block[0]
+            if ranks[r] == ranks[i] and sizes[r] == sizes[i] and similar_to(r, i):
+                block.append(i)
                 break
         else:
-            blocks.append([name])
+            blocks.append([i])
+    points = space.points
     return SimilarityPartition(
-        blocks=tuple(tuple(b) for b in blocks),
+        blocks=tuple(tuple(points[i] for i in block) for block in blocks),
         rank_of=data.rank_of,
     )
+
+
+def _twin_key(structure, i):
+    """Point i's twin key on the kernel structure (masks, member): U_i and
+    the points whose minimal open set holds i, each without i.  Points with
+    one key are twins: the transposition of two of them fixes every other
+    point and carries every minimal open set onto one."""
+    masks, member = structure
+    bit = 1 << i
+    return masks[i] & ~bit, member[i] & ~bit
 
 
 def _stabiliser_chain(structure, refined):
@@ -469,12 +548,16 @@ def _stabiliser_chain(structure, refined):
     which every such p preserves, and the settled points, those alone in
     their cell.
 
-    Level i pins 0..i-1 to themselves.  The orbit of i is first grown by
-    closure under the elements already found that fix that prefix; then
-    one ``limit=1`` search at a time asks for an element sending i into
-    the part of its candidate cell not yet reached, until none exists.
-    When no element fixing the prefix is known, one ``limit=2`` search
-    either finds one or shows the prefix's pointwise stabiliser is
+    Level i pins 0..i-1 to themselves.  Its known elements are first
+    joined by the transpositions (i j) for the twins j > i of i in its
+    cell (``_twin_key``), which fix the prefix; twin keys are read only at
+    a level with such a cell, so never when the refinement is discrete.
+    Twins always share a cell, as their swap preserves the partition.
+    The orbit of i is grown by closure under the known elements that fix
+    the prefix; then one ``limit=1`` search at a time asks for an element
+    sending i into the part of its candidate cell not yet reached, until
+    none exists.  When no element fixing the prefix is known, one ``limit=2``
+    search either finds one or shows the prefix's pointwise stabiliser is
     trivial, which ends the chain, so a rigid structure costs at most one
     search.  A point whose cell holds no other unpinned point is fixed,
     and its level needs no search.  The settled points are passed to every
@@ -489,6 +572,12 @@ def _stabiliser_chain(structure, refined):
     for i in range(n):
         cell = cand[i] >> i << i
         if cell != 1 << i:
+            key = _twin_key(structure, i)
+            for j in _bits(cell ^ 1 << i):
+                if _twin_key(structure, j) == key:
+                    swap = list(identity)
+                    swap[i], swap[j] = j, i
+                    known.append(tuple(swap))
             if not known:
                 found = pure.search(structure, structure, pinned, 2, fixed)
                 known = [g for g in found if g != identity]
@@ -627,37 +716,79 @@ def _direct_failure(space, part):
     least sorted prefix of any set with those counts.  Its first
     unrealised image keeps the prefix, which is the first injective one
     of its signature, and sends u to the first point of B the check
-    found out of reach.
+    found out of reach.  The checks of one length are built and run
+    before the next length's are built.
+
+    A block of pairwise twins (``_twin_key``) has no count: Sym(B) lies
+    in the group and fixes every other point, so G_(P) is transitive on
+    B minus P for every P, and an element of G_(P minus B) moving a point
+    of another block can be corrected on B to fix P; a first failing
+    check never holds a point of B.  Each adjacent transposition of such
+    a block is checked to be a homeomorphism instead, and one that is
+    not raises InternalCheckError.
     """
-    structure = _structure(space)
-    blocks = [tuple(map(space.index, block)) for block in part.blocks]
+    structure, index = _structure(space), space._index
+    blocks = [tuple([index[name] for name in block]) for block in part.blocks]
+    movable = []
+    for block in blocks:
+        if len(block) == 1:
+            continue
+        if len({_twin_key(structure, i) for i in block}) > 1:
+            movable.append(block)
+            continue
+        for a, b in zip(block, block[1:]):
+            swap = list(range(space.size))
+            swap[a], swap[b] = b, a
+            if not _is_homeo(space, swap):
+                raise InternalCheckError(
+                    f"twins {space.points[a]!r} and {space.points[b]!r} do not swap by a "
+                    "homeomorphism"
+                )
+    if not movable:
+        return None
+
     cand = [0] * space.size
     for block in blocks:
         mask = sum(1 << i for i in block)
         for i in block:
             cand[i] = mask
-
-    movable = [block for block in blocks if len(block) > 1]
-    checks = []
-    for counts in itertools.product(*(range(len(block)) for block in movable)):
-        prefix = sorted(i for block, m in zip(movable, counts) for i in block[:m])
-        for block, m in zip(movable, counts):
-            if m + 1 < len(block):
-                checks.append(((*prefix, block[m]), block[m + 1:]))
-    checks.sort(key=lambda check: (len(check[0]), check[0]))
-
-    for xs, others in checks:
-        pinned = list(cand)
-        for i in xs[:-1]:
-            pinned[i] = 1 << i
-        for y in others:
-            pinned[xs[-1]] = 1 << y
-            if not pure.search(structure, structure, pinned, 1):
-                return (
-                    tuple(space.points[i] for i in xs),
-                    tuple(space.points[i] for i in (*xs[:-1], y)),
-                )
+    sizes = [len(block) for block in movable]
+    for length in range(sum(sizes) - len(sizes)):  # the prefix length, sum of m_B
+        checks = []
+        for counts in _count_vectors(sizes, length):
+            prefix = sorted(i for block, m in zip(movable, counts) for i in block[:m])
+            for block, m in zip(movable, counts):
+                if m + 1 < len(block):
+                    checks.append(((*prefix, block[m]), block[m + 1:]))
+        checks.sort()
+        for xs, others in checks:
+            pinned = list(cand)
+            for i in xs[:-1]:
+                pinned[i] = 1 << i
+            for y in others:
+                pinned[xs[-1]] = 1 << y
+                if not pure.search(structure, structure, pinned, 1):
+                    return (
+                        tuple(space.points[i] for i in xs),
+                        tuple(space.points[i] for i in (*xs[:-1], y)),
+                    )
     return None
+
+
+def _count_vectors(sizes, total):
+    """Every vector (m_k) with 0 <= m_k < sizes[k] and sum ``total``, built
+    one block at a time, keeping only the partial vectors that the blocks
+    after it can still complete."""
+    room = sum(sizes) - len(sizes)  # the most the blocks not yet placed take
+    partial = [(0, ())]
+    for size in sizes:
+        room -= size - 1
+        partial = [
+            (s + m, (*v, m))
+            for s, v in partial
+            for m in range(max(0, total - room - s), min(size - 1, total - s) + 1)
+        ]
+    return [v for _, v in partial]
 
 
 @dataclass(frozen=True)
@@ -1102,27 +1233,34 @@ def verify_remark19(space: FiniteSpace) -> Remark19Report:
 
 def enumerate_preorder_spaces(n: int):
     """All labelled topologies on n points a, b, c, ..., as minimal-open
-    presentations."""
+    presentations, in ``itertools.product`` order over the masks of the
+    points in turn, each mask holding its own point.  The masks are picked
+    point by point, and a branch is cut at the first pair of picked points
+    that breaks transitivity, so every space yielded is valid as built."""
     if n > 5:
         raise BoundExceededError("labelled-topology enumeration is limited to 5 points")
     names = tuple("abcde"[:n])
-    if n == 0:
-        yield FiniteSpace.from_masks((), ())
-        return
-    choices = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        masks_i = []
-        for extra in range(1 << (n - 1)):
-            m = 1 << i
-            for b, j in enumerate(others):
-                if (extra >> b) & 1:
-                    m |= 1 << j
-            masks_i.append(m)
-        choices.append(masks_i)
-    for masks in itertools.product(*choices):
-        if _intransitive(masks) is None:
-            yield FiniteSpace.from_masks(names, masks)
+    index = _point_index(names)
+
+    def extend(masks):
+        k = len(masks)
+        if k == n:
+            space = FiniteSpace.__new__(FiniteSpace)
+            space._take(names, index, masks)
+            yield space
+            return
+        bit = 1 << k
+        for m in range(bit, 1 << n):
+            if not m & bit:
+                continue
+            # the new pairs: (k, y) and (y, k) for each picked point y
+            for y, mask in enumerate(masks):
+                if m >> y & 1 and mask & ~m or mask & bit and m & ~mask:
+                    break
+            else:
+                yield from extend((*masks, m))
+
+    yield from extend(())
 
 
 def enumerate_t0_spaces(n: int):

@@ -307,8 +307,9 @@ def verify_prop24(
         edge_points |= bit
         expected[a] |= bit
         expected[b] |= bit
-    derived_is_edges = len(data.levels) > 1 and space._mask(data.levels[1]) == edge_points
-    second_empty = len(data.levels) > 2 and data.levels[2] == frozenset()
+    levels = data._level_masks
+    derived_is_edges = len(levels) > 1 and levels[1] == edge_points
+    second_empty = len(levels) > 2 and levels[2] == 0
 
     # closed[i]: the points whose minimal open set holds point i, read off
     # the structure that homeo_group searched

@@ -253,6 +253,25 @@ def test_class_profile_bound():
         class_profile(o("w^(w^2) + w^99999999999999999999"))
 
 
+def test_profile_errors_keep_their_class_when_gamma_cannot_be_printed():
+    # a sum of two 4300-digit literals parses, but its coefficient is too long to print
+    nines = "9" * 4300
+    with pytest.raises(BoundExceededError) as bound:
+        class_profile(o(f"w^({nines} + {nines})"))
+    assert str(bound.value) == "[0, gamma) has more rank levels than the cap of 100000 on listing them"
+    for call in (class_profile, profile_runs):
+        with pytest.raises(UnrepresentableProfileError) as unlisted:
+            call(o(f"w^(w + {nines} + {nines})"))
+        assert str(unlisted.value) == (
+            "[0, gamma) has infinitely many rank levels; profiles are listable only for gamma < w^w"
+        )
+    # a printable gamma is named as before
+    with pytest.raises(BoundExceededError, match=r"^\[0, w\^100001\) has more rank levels"):
+        class_profile(o("w^100001"))
+    with pytest.raises(UnrepresentableProfileError, match=r"^\[0, w\^\(w \+ 1\)\) has infinitely"):
+        class_profile(o("w^(w + 1)"))
+
+
 def test_classify_idempotence_randomised():
     rng = random.Random(22)
     for _ in range(300):

@@ -400,6 +400,19 @@ def test_cb_data_matches_rank_scan_reference_on_random_spaces(space):
     assert (data.levels, dict(data.rank_of), data.rank, data.scattered) == _cb_data_reference(space)
 
 
+def test_cb_data_names_its_points_only_when_read():
+    space = chain_space(3)
+    data = finite._cb_data(space)
+    assert data._level_masks == (0b111, 0b110, 0b100, 0) and data._ranks == [0, 1, 2]
+    assert data._levels is None and data._rank_of is None
+    assert data.levels == (frozenset({"p1", "p2", "p3"}), frozenset({"p2", "p3"}), frozenset({"p3"}), frozenset())
+    assert data.levels is data.levels and data.rank_of is data.rank_of
+    assert data == finite._cb_data(chain_space(3)) and data != cb_data(discrete_space(3))
+    assert repr(data).startswith("CBData(levels=(frozenset(")
+    with pytest.raises(AttributeError):
+        data.rank = 5
+
+
 def test_rank_of_is_read_only():
     space = chain_space(3)
     for data in (cb_data(space), similarity_partition(space)):
@@ -1213,10 +1226,13 @@ def _enumerate_preorder_reference(n):
 
 
 def test_preorder_enumeration_matches_the_inline_check_reference():
-    for n in range(5):
+    # the same sequence as filtering the whole product, which the pruned walk never builds
+    for n in range(6):
         got = [space._masks for space in enumerate_preorder_spaces(n)]
         assert got == list(_enumerate_preorder_reference(n))
     assert sum(1 for _ in enumerate_preorder_spaces(5)) == 6942
+    with pytest.raises(BoundExceededError):
+        next(enumerate_preorder_spaces(6))
 
 
 def test_preorder_counts():
